@@ -25,7 +25,6 @@ from .batching import (
     vectorize_corpus,
     vectorize_plan,
 )
-from .compile import CompiledSchedule, ScheduleCache, ScheduleStep
 from .config import COMPUTE_DTYPES, TRAINING_ENGINES, TRAINING_MODES, QPPNetConfig
 from .levels import LevelPlan, LevelPlanCache, LevelRun, LevelStep
 from .model import MIN_PREDICTION_MS, QPPNet
@@ -67,9 +66,6 @@ __all__ = [
     "sample_batches",
     "BufferPool",
     "PreGroupedCorpus",
-    "CompiledSchedule",
-    "ScheduleCache",
-    "ScheduleStep",
     "LevelPlan",
     "LevelPlanCache",
     "LevelRun",

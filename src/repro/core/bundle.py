@@ -28,6 +28,11 @@ WEIGHTS_FILE = "weights.npz"
 FEATURIZER_FILE = "featurizer.json"
 CONFIG_FILE = "config.json"
 
+#: Training engines that no longer exist, mapped to the engine that
+#: computes the same gradients (<= 1e-9).  The engine only matters for
+#: training, so an old bundle loads with its predictions unchanged.
+_RETIRED_ENGINES = {"compiled": "fused"}
+
 
 class BundleCorruptError(RuntimeError):
     """A bundle directory exists but one of its files cannot be loaded.
@@ -75,7 +80,10 @@ def load_bundle(directory: PathLike) -> QPPNet:
     config_path = os.path.join(directory, CONFIG_FILE)
     try:
         with open(config_path) as handle:
-            config = QPPNetConfig(**json.load(handle))
+            fields = json.load(handle)
+        if isinstance(fields, dict) and fields.get("engine") in _RETIRED_ENGINES:
+            fields["engine"] = _RETIRED_ENGINES[fields["engine"]]
+        config = QPPNetConfig(**fields)
     except (json.JSONDecodeError, UnicodeDecodeError, TypeError, ValueError) as error:
         raise BundleCorruptError(config_path, str(error)) from error
     model = QPPNet(featurizer, config)

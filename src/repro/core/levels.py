@@ -1,54 +1,86 @@
-"""Level-wise cross-structure fused execution (the third execution tier).
+"""Level-fused plan execution (§5.1 turned into an explicit artifact).
 
-The per-group :class:`~repro.core.compile.CompiledSchedule` removed the
-per-batch *bookkeeping* cost of plan-structured execution, but a mixed
-template corpus still pays one small matmul per plan position per
-structure group: 26 structures mean 26 separate unit evaluations per
-tree level even when every one of them runs the same unit.  The fusion
-observation generalizes across groups — position ``p`` of group ``A``
-and position ``q`` of group ``B`` can share one stacked forward whenever
-they run the same unit *and* all of their children have already been
-evaluated.
+The paper's systems contribution is that plans sharing a tree structure
+can be served by one vectorized forward pass.  Deriving *how* to run that
+pass — which unit serves each position, and where each child's output
+lands inside each parent's input vector — is pure bookkeeping that
+depends only on the structures involved
+(:class:`~repro.core.batching.PlanGraph`), not on the batch.  The fusion observation also generalizes across
+structures: position ``p`` of graph ``A`` and position ``q`` of graph
+``B`` can share one stacked forward whenever they run the same unit
+*and* all of their children have already been evaluated.
 
-:class:`LevelPlan` compiles that whole-batch execution once per
-combination of structures.  Every ``(graph, position)`` pair is assigned
-a *level* — its subtree height, 0 for leaves — and all pairs sharing a
-``(unit type, level)`` become one :class:`LevelStep`: a single stacked
-forward over the concatenated rows of every participating group, i.e.
-**one matmul per unit type per tree depth for the whole batch**.  The
-compiler pre-resolves, per step entry, where each child's output block
-sits inside the step's assembled input (the same Eq. 6 layout the
-per-group schedule uses) and where each entry's output rows land inside
-one global ``(total_rows, d+1)`` output matrix, ordered so every step
-writes a contiguous block (its matmul targets the block directly, no
-scatter copy).
+Execution tiers
+---------------
+Two tiers implement the forward (and, for training, the backward):
 
-Execution is symmetric in both directions:
+1. **Taped reference** — :meth:`repro.core.model.QPPNet.forward_group`
+   walks one structure group in postorder with taped
+   :class:`~repro.nn.Tensor` ops (differentiable autodiff).  It backs
+   the trainer's ``taped`` engine and the Figure 9a ablation modes,
+   whose deliberately redundant computation must stay observable, and
+   it is the oracle every tape-free path is tested against (<= 1e-9 in
+   float64).
+2. **Level-fused** — :class:`LevelPlan`, compiled once per combination
+   of structures.  Every ``(graph, position)`` pair is assigned a
+   *level* — its subtree height, 0 for leaves — and all pairs sharing a
+   ``(unit type, level)`` become one :class:`LevelStep`: a single
+   stacked forward over the concatenated rows of every participating
+   group, i.e. **one matmul per unit type per tree depth for the whole
+   batch**.  It backs the trainer's ``fused`` engine (the default),
+   whole-batch serving in
+   :meth:`repro.serving.InferenceSession.predict_batch`, and — as a
+   single-graph plan — :meth:`repro.core.model.QPPNet.predict_operators`.
+
+The compiler pre-resolves, per step entry, where each child's output
+block sits inside the step's assembled input (the Eq. 6 layout ``F(op) ⌢
+child outputs ⌢ zero padding``) and where each entry's output rows land
+inside one global ``(total_rows, d+1)`` output matrix, ordered so every
+step writes a contiguous block (its matmul targets the block directly,
+no scatter copy).  Execution is symmetric in both directions:
 
 * :meth:`LevelPlan.forward_training` runs the steps in level order,
-  caching per-step activations (the same closed-form
-  ``forward_train``/``backward_train`` contract as the per-group
-  compiled engine);
+  caching per-step activations for the closed-form
+  ``forward_train``/``backward_train`` unit contract;
 * :meth:`LevelPlan.backward` walks the steps in reverse level order,
   scatter-adding each parent's input-slice gradients into its
   children's rows of the global gradient buffer and accumulating every
   unit's parameter gradients **once per level** (into
   :class:`~repro.nn.FlatParameterSpace` views when the trainer bound
   them);
-* :meth:`LevelPlan.forward_inference` is the tape-free variant used by
-  :meth:`repro.serving.InferenceSession.predict_batch` to run an entire
-  mixed-structure request batch as one fused pass.
+* :meth:`LevelPlan.forward_inference` is the tape-free serving variant.
 
-Leaves need no special casing here: a leaf is simply a depth-0 entry,
-so the ``FusedLeafGroup`` mechanism of the earlier compiled engine is
-subsumed (a single-graph ``LevelPlan`` fuses all same-type leaves — and
-all same-type same-depth internal nodes — of that one structure).
+Leaves need no special casing: a leaf is simply a depth-0 entry, so a
+single-graph ``LevelPlan`` fuses all same-type leaves — and all
+same-type same-depth internal nodes — of that one structure.
 
 Row offsets depend on the per-group batch sizes, which vary call to
 call under random batching; :meth:`LevelPlan.layout` resolves them with
 one cheap pass over the entries and memoizes the result per batch-size
 vector.  :class:`LevelPlanCache` is the LRU cache in front of
-compilation, keyed by the tuple of structure signatures.
+compilation, keyed by the tuple of structure signatures; in template
+workloads the handful of distinct structure mixes means steady-state
+serving never recompiles.
+
+Precision tiers
+---------------
+Orthogonal to the execution tiers, every engine runs at one of two
+*compute* precisions, fixed by ``QPPNetConfig.dtype``:
+
+* ``"float64"`` (default) — the numerical reference.  The <= 1e-9
+  tape-pinning guarantees above are float64 statements, and a float64
+  model is what the float32 tier is property-tested against.
+* ``"float32"`` — the recommended production precision.  The level-plan
+  machinery is dtype-transparent: assembly buffers, stacked matmuls,
+  the fused Eq. 7 loss, gradient scatters and the flat optimizer state
+  all adopt the units' dtype, so a float32 model runs the whole
+  train/serve hot path with no float64 temporaries and no per-batch
+  casts (features are cast once — at corpus pre-grouping for training,
+  at featurization for serving).  Agreement with the float64 reference
+  is <= 1e-4 relative on predictions.
+
+Pick float64 when bit-level reproducibility or gradient debugging
+matters; pick float32 for throughput-sensitive training and serving.
 """
 
 from __future__ import annotations

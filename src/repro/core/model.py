@@ -28,7 +28,6 @@ from repro.plans.node import PlanNode
 from repro.plans.operators import LogicalType
 
 from .batching import PlanGraph, StructureGroup, plan_graph
-from .compile import CompiledSchedule, ScheduleCache
 from .config import QPPNetConfig
 from .levels import LevelPlan, LevelPlanCache
 from .unit import NeuralUnit
@@ -59,13 +58,14 @@ class QPPNet(nn.Module):
                 activation=self.config.activation,
                 dtype=self.config.np_dtype,
             )
-        # Compile-once execution: schedules are derived per structure
-        # signature and reused by training and serving alike.
-        self.schedules = ScheduleCache()
         # Cross-structure level-fused plans, keyed by the tuple of
         # signatures in a batch (fused trainer engine + whole-batch
         # serving share these).
         self.level_plans = LevelPlanCache()
+        # Single-graph plans behind predict/predict_operators.  A cache of
+        # their own: one-plan calls never evict the serving plans above,
+        # so the taped fallback tier stays independent of them.
+        self.single_plans = LevelPlanCache(maxsize=256)
 
     # ------------------------------------------------------------------
     # Parameter plumbing (units live in a dict, so enumerate explicitly)
@@ -77,10 +77,6 @@ class QPPNet(nn.Module):
     # ------------------------------------------------------------------
     # Forward passes
     # ------------------------------------------------------------------
-    def compile_schedule(self, graph: PlanGraph) -> CompiledSchedule:
-        """The (cached) compiled execution schedule for ``graph``."""
-        return self.schedules.get(graph, self.units)
-
     def compile_level_plan(self, graphs: Sequence[PlanGraph]) -> LevelPlan:
         """The (cached) cross-structure level-fused plan for ``graphs``.
 
@@ -93,11 +89,19 @@ class QPPNet(nn.Module):
     def forward_group(self, group: StructureGroup) -> dict[int, nn.Tensor]:
         """Cached bottom-up evaluation of a structure group (§5.1.2).
 
-        Returns ``{preorder position -> (B, d+1) output tensor}``.
-        Executes through the group's :class:`CompiledSchedule` (taped and
-        differentiable; used by the trainer).
+        Returns ``{preorder position -> (B, d+1) output tensor}``.  Taped
+        and differentiable: the reference forward of the ``taped`` engine
+        and the ablation modes, and the oracle the level-fused tier is
+        tested against.
         """
-        return self.compile_schedule(group.graph).run_training(group.features)
+        graph = group.graph
+        outputs: dict[int, nn.Tensor] = {}
+        for pos in graph.postorder:
+            unit = self.units[graph.types[pos]]
+            children = [outputs[child] for child in graph.children[pos]]
+            features = nn.Tensor(group.features[pos])
+            outputs[pos] = unit(unit.assemble_input(features, children))
+        return outputs
 
     def forward_subtree_uncached(self, group: StructureGroup, pos: int) -> nn.Tensor:
         """Naive evaluation of one operator's output, recomputing the subtree."""
@@ -126,20 +130,24 @@ class QPPNet(nn.Module):
         return self.predict_operators(plan)[0]
 
     def predict_operators(self, plan: PlanNode) -> list[float]:
-        """Predicted latency (ms) of every operator, preorder-indexed."""
-        schedule = self.compile_schedule(plan_graph(plan))
-        # Cast features to the compute dtype up front so the schedule's
+        """Predicted latency (ms) of every operator, preorder-indexed.
+
+        One single-graph :class:`LevelPlan` forward over the scalar
+        featurizer's rows (batch of one, so each node is one row).
+        """
+        level_plan = self.single_plans.get([plan_graph(plan)], self.units)
+        # Cast features to the compute dtype up front so the plan's
         # matmuls never promote back to float64 on a float32 model.
         dtype = self.config.np_dtype
         features = [
             np.asarray(f, dtype=dtype).reshape(1, -1)
             for f in self.featurizer.transform_plan(plan)
         ]
-        outputs = schedule.run_inference(features)
+        run = level_plan.forward_inference([features], [1])
+        rows = [run.layout.starts[node] for node in level_plan.node_of[0]]
         scale = self.featurizer.latency_scale_ms
         return [
-            max(MIN_PREDICTION_MS, float(outputs[pos][0, 0]) * scale)
-            for pos in range(schedule.n_nodes)
+            max(MIN_PREDICTION_MS, float(value) * scale) for value in run.out[rows, 0]
         ]
 
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ calls, one tiny numpy array per encoder.  That is fine for building a
 training corpus once, but it dominates the serving path now that the
 fused execution engine runs the actual matmuls in a fraction of the
 time.  This module compiles the walk away, exactly like
-:mod:`repro.core.compile` compiled the plan interpreter away:
+:mod:`repro.core.levels` compiled the plan interpreter away:
 
 * :class:`FeatureProgram` — per logical type, the fully *resolved*
   column layout of ``F(op)``: which properties feed the scalar-numeric

@@ -65,7 +65,7 @@ from .corpus import (
     template_of_filename,
 )
 from .duckdb import parse_duckdb_explain
-from .errors import DialectError, IngestError, UnknownOperatorError
+from .errors import DialectError, IngestError, PlanTooDeepError, UnknownOperatorError
 from .mysql import parse_mysql_explain
 from .postgres import parse_postgres_explain
 from .record import IngestedPlan, as_samples
@@ -106,6 +106,7 @@ __all__ = [
     "IngestError",
     "DialectError",
     "UnknownOperatorError",
+    "PlanTooDeepError",
     "OperatorVocabulary",
     "OperatorRule",
     "ResolvedOp",

@@ -19,7 +19,7 @@ from typing import Optional, Union
 from repro.plans.validate import validate_plan
 
 from .duckdb import parse_duckdb_explain
-from .errors import DialectError
+from .errors import DialectError, PlanTooDeepError
 from .mysql import parse_mysql_explain
 from .postgres import parse_postgres_explain
 from .record import IngestedPlan
@@ -86,20 +86,27 @@ def parse(
     :mod:`repro.ingest.vocab`); ``validate=False`` skips the
     ``plans.validate`` structural check (escape hatch for corpora that
     will be validated downstream, e.g. at ``PredictionService.submit``).
+    A document nested too deeply to decode, parse or validate raises
+    :class:`~repro.ingest.errors.PlanTooDeepError`.
     """
-    if engine is None:
-        engine = detect_engine(document)
-    parser = _PARSERS.get(engine)
-    if parser is None:
-        raise DialectError(engine, f"no parser registered (known: {list(_PARSERS)})")
-    kwargs = {"on_unknown": on_unknown, "source": source}
-    if template_id is not None:
-        kwargs["template_id"] = template_id
-    plans = parser(document, **kwargs)
-    if validate:
-        for plan in plans:
-            validate_plan(plan.plan)
-    return plans
+    try:
+        if engine is None:
+            engine = detect_engine(document)
+        parser = _PARSERS.get(engine)
+        if parser is None:
+            raise DialectError(
+                engine, f"no parser registered (known: {list(_PARSERS)})"
+            )
+        kwargs = {"on_unknown": on_unknown, "source": source}
+        if template_id is not None:
+            kwargs["template_id"] = template_id
+        plans = parser(document, **kwargs)
+        if validate:
+            for plan in plans:
+                validate_plan(plan.plan)
+        return plans
+    except RecursionError as error:
+        raise PlanTooDeepError(engine or "auto") from error
 
 
 def template_of_filename(path: PathLike) -> str:

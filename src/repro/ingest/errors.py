@@ -4,9 +4,10 @@ Every failure mode a real-engine EXPLAIN document can hit is named
 here, so callers can distinguish "this document is not the dialect you
 claimed" (:class:`DialectError`) from "this operator is not in the
 engine's vocabulary and you asked for strictness"
-(:class:`UnknownOperatorError`) from generic ingest misuse
-(:class:`IngestError`).  All inherit :class:`ValueError` so legacy
-``except ValueError`` call sites keep working.
+(:class:`UnknownOperatorError`) from "this plan nests deeper than the
+recursive parsers can walk" (:class:`PlanTooDeepError`) from generic
+ingest misuse (:class:`IngestError`).  All inherit :class:`ValueError`
+so legacy ``except ValueError`` call sites keep working.
 """
 
 from __future__ import annotations
@@ -30,6 +31,19 @@ class DialectError(IngestError):
         self.engine = engine
         self.reason = reason
         super().__init__(f"{engine}: {reason}")
+
+
+class PlanTooDeepError(IngestError):
+    """The document nests deeper than the recursive parse can follow.
+
+    Raised by :func:`repro.ingest.parse` in place of the interpreter's
+    ``RecursionError`` (from the JSON decoder or a dialect's node walk),
+    so a pathological document is a typed ingest failure, not a crash.
+    """
+
+    def __init__(self, engine: str) -> None:
+        self.engine = engine
+        super().__init__(f"{engine}: plan nesting exceeds the recursion limit")
 
 
 class UnknownOperatorError(IngestError):

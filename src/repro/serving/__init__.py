@@ -27,7 +27,7 @@ request-shaped, not batch-shaped.  Three tiers, top to bottom:
    featurization entirely, and a hit is byte-for-byte the rows a miss
    would compute — then runs the whole batch tape-free as one fused
    forward and scatters results back to request order; ``predict`` is
-   the direct single-plan shortcut through the same cache.  Sessions
+   a batch of one through the same path.  Sessions
    are single-threaded by design — the service's drain loop is their
    serialization point.
 
@@ -211,7 +211,8 @@ record is truncated away, a record whose CRC fails is skipped, a
 segment with a bad header is quarantined (renamed ``*.corrupt``), a
 failed ``fsync``/write closes the journal into its ``io_errors``
 counter, a failed snapshot or manifest write increments
-``snapshot_errors``/``manifest_errors`` — all surfaced as typed
+``snapshot_errors``/``manifest_errors``, a failed journal prune
+increments ``prune_errors`` — all surfaced as typed
 counters on :class:`~repro.serving.journal.ReplayResult` and the
 :class:`~repro.serving.recovery.RecoveryReport`.  Only unrecoverable
 damage (missing/corrupt manifest, unloadable bundle) raises

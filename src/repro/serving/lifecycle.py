@@ -333,6 +333,10 @@ class LifecycleManager:
     checkpoint, reproducing the uninterrupted fit bitwise.
     """
 
+    #: How many of the background loop's swallowed exceptions ``errors``
+    #: retains (the oldest are dropped; ``error_count`` keeps counting).
+    MAX_KEPT_ERRORS = 32
+
     def __init__(
         self,
         service: PredictionService,
@@ -354,9 +358,12 @@ class LifecycleManager:
         self.model_name = name
         #: (state, detail) transition journal, for observability/tests.
         self.events: list[tuple[str, str]] = []
-        #: Exceptions swallowed by the background loop (it must survive
-        #: transient failures; SimulatedCrash still kills it).
-        self.errors: list[BaseException] = []
+        #: The most recent exceptions swallowed by the background loop
+        #: (it must survive transient failures; SimulatedCrash still
+        #: kills it).  Bounded so a persistently failing step does not
+        #: pin tracebacks without limit; ``error_count`` is the total.
+        self.errors: deque[BaseException] = deque(maxlen=self.MAX_KEPT_ERRORS)
+        self._error_count = 0
 
         self._lock = threading.RLock()
         self._state = LifecycleState.LIVE
@@ -365,6 +372,7 @@ class LifecycleManager:
         self._outcomes_lost = 0  # journal records evicted before we polled them
         self._since_snapshot = 0  # outcomes consumed since the last drift snapshot
         self._snapshot_errors = 0  # swallowed snapshot-write failures
+        self._prune_errors = 0  # swallowed journal-prune failures
         self._cooldown_until = 0.0
         self._candidate: Optional[InferenceSession] = None
         self._trained_signatures: frozenset = frozenset()
@@ -409,6 +417,19 @@ class LifecycleManager:
         """Drift-snapshot write failures swallowed by :meth:`poll`."""
         with self._lock:
             return self._snapshot_errors
+
+    @property
+    def prune_errors(self) -> int:
+        """Journal-prune failures swallowed by :meth:`snapshot_drift`."""
+        with self._lock:
+            return self._prune_errors
+
+    @property
+    def error_count(self) -> int:
+        """Total exceptions swallowed by the background loop (``errors``
+        keeps only the most recent :attr:`MAX_KEPT_ERRORS`)."""
+        with self._lock:
+            return self._error_count
 
     def _transition(self, new: str, detail: str = "") -> None:
         # Caller holds self._lock.
@@ -497,7 +518,8 @@ class LifecycleManager:
                 try:
                     journal.prune(keep_from)
                 except Exception:
-                    pass  # retention is best-effort; replay stays correct
+                    # Retention is best-effort; replay stays correct.
+                    self._prune_errors += 1
             return True
 
     # ------------------------------------------------------------------
@@ -570,7 +592,7 @@ class LifecycleManager:
                 epoch_hook=cfg.epoch_hook,
             )
             session = InferenceSession(candidate)
-            # Pre-warm: compile schedules / level plans and fill the
+            # Pre-warm: compile level plans and fill the
             # feature cache on recent observed plans, so the first
             # shadowed (and first post-promotion) batch pays nothing.
             warm = [s.plan for s in samples[-64:]]
@@ -838,7 +860,9 @@ class LifecycleManager:
             try:
                 self.step()
             except Exception as error:  # survives transient failures...
-                self.errors.append(error)
+                with self._lock:
+                    self._error_count += 1
+                    self.errors.append(error)
             # ...but a SimulatedCrash (BaseException) kills the thread,
             # exactly like the process death it stands in for; recovery
             # is a fresh manager resuming retrain() over the same

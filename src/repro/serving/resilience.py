@@ -19,8 +19,10 @@ composes into its failure-mode contract (see the package docstring of
   broken or the breaker is open.  :func:`default_fallback_chain` is the
   documented ladder *fused -> taped per-plan reference -> cost
   heuristic*: the taped tier re-runs each plan through
-  :meth:`QPPNet.predict` (the <= 1e-9 reference path, sidestepping any
-  defect in the fused/compiled tiers), and the last-resort tier maps the
+  :meth:`QPPNet.predict` (scalar featurizer plus a single-graph level
+  plan from the model's own cache, agreeing with the session to
+  <= 1e-9 while sidestepping its pools, feature cache and serving
+  plans), and the last-resort tier maps the
   optimizer's own cumulative cost estimate (``Total Cost``, computed by
   :mod:`repro.optimizer.cost`) to milliseconds — no neural network at
   all, but never an unserved request;
@@ -378,11 +380,13 @@ FallbackTier = Callable[[object, Sequence[PlanNode]], Sequence[float]]
 
 
 def taped_reference_tier(session: object, plans: Sequence[PlanNode]) -> list[float]:
-    """Tier 2: per-plan taped/compiled reference through ``QPPNet.predict``.
+    """Tier 2: per-plan reference through ``QPPNet.predict``.
 
-    Sidesteps the session entirely (its pools, caches and fused level
-    plans — any of which the primary failure may implicate) and runs each
-    plan through the model's own single-plan path.  Slow but independent.
+    Sidesteps the session entirely (its pools, feature cache and the
+    model's serving level plans — any of which the primary failure may
+    implicate) and runs each plan through the model's own single-plan
+    path: the scalar featurizer and a single-graph level plan from the
+    model's separate ``single_plans`` cache.  Slow but independent.
     """
     model = getattr(session, "model", None)
     if model is None or not hasattr(model, "predict"):

@@ -2,22 +2,18 @@
 
 See the package docstring of :mod:`repro.serving` for the pipeline
 overview.  A session is cheap to construct but meant to be long-lived:
-its stacking buffers and the model's schedule/level-plan caches reach a
-steady state after the first few batches of a template workload, after
-which a ``predict_batch`` call allocates almost nothing.
+its stacking buffers and the model's level-plan cache reach a steady
+state after the first few batches of a template workload, after which a
+``predict_batch`` call allocates almost nothing.
 
-Two serving paths:
+One serving path: ``predict_batch`` buckets the request batch by
+structure signature, featurizes each bucket, and runs *all* buckets
+through one :class:`~repro.core.levels.LevelPlan` forward — one matmul
+per unit type per tree depth for the entire mixed-structure batch.  The
+single-plan ``predict``/``predict_operators`` calls are batches of one
+through the same path.
 
-* **whole-batch level-fused** — ``predict_batch`` buckets the request
-  batch by structure signature, featurizes each bucket, and runs *all*
-  buckets through one :class:`~repro.core.levels.LevelPlan` forward:
-  one matmul per unit type per tree depth for the entire mixed-structure
-  batch, instead of one schedule walk per bucket;
-* **direct single-plan** — ``predict`` routes one plan straight through
-  its compiled schedule's ``run_inference``, skipping the bucket /
-  stack / fuse machinery whose overhead is pure waste at batch size 1.
-
-Both paths featurize through the compiled tier
+Featurization runs through the compiled tier
 (:mod:`repro.featurize.compiled`): per-type feature *programs* replace
 the per-node schema walk, and a bounded LRU **feature-vector cache**
 keyed on plan identity (structure signature + every property the
@@ -65,14 +61,14 @@ class InferenceSession:
     """Vectorized ``predict_batch`` front-end for one model.
 
     Not thread-safe: a session owns mutable stacking buffers (and the
-    model's compiled schedules and level plans own assembly buffers);
-    use one session per serving thread.
+    model's level plans own assembly buffers); use one session per
+    serving thread.
     """
 
     #: Default LRU bound on retained stacking buffers: ad-hoc workloads
     #: with unbounded distinct plan structures must not grow the
-    #: session's memory without limit (mirrors the model's ScheduleCache
-    #: and LevelPlanCache caps).
+    #: session's memory without limit (mirrors the model's LevelPlanCache
+    #: caps).
     MAX_POOLED_BUFFERS = 1024
 
     #: Bound on the memoized structure table (preorder ``(op, arity)``
@@ -115,27 +111,8 @@ class InferenceSession:
     # Public API
     # ------------------------------------------------------------------
     def predict(self, plan: PlanNode) -> float:
-        """Single-plan fast path: straight through the compiled schedule.
-
-        Equivalent to ``predict_batch([plan])[0]`` but skips bucketing
-        and level-plan dispatch — the per-call overhead that dominates at
-        batch size 1 (see ``benchmarks/test_serving_throughput.py``).
-        Featurizes through the compiled programs and the feature-vector
-        cache (a repeat of a templated query runs one digest walk plus
-        one ``run_inference``), then one forward on the plan's compiled
-        schedule, matching :meth:`QPPNet.predict` to <= 1e-9.
-        """
-        self.requests_served += 1
-        graph, nodes = self._resolve_plan(plan)
-        features = self._featurize_plan(graph, nodes)
-        schedule = self.model.compile_schedule(graph)
-        with nn.inference_mode():
-            outputs = schedule.run_inference(features)
-        scale = self.featurizer.latency_scale_ms
-        value = float(outputs[0][0, 0]) * scale
-        if not np.isfinite(value):
-            raise NonFinitePrediction(repr(self.model), [graph.signature], [0])
-        return max(MIN_PREDICTION_MS, value)
+        """Predicted query latency (ms) of one plan: a batch of one."""
+        return float(self.predict_batch([plan])[0])
 
     def predict_batch(self, plans: Sequence[PlanNode]) -> np.ndarray:
         """Predicted query latency (ms) per plan, in request order.
@@ -364,31 +341,3 @@ class InferenceSession:
         for j, blocks in new_blocks.items():
             cache.put(digests[j], blocks)
         return stacked
-
-    def _featurize_plan(self, graph, nodes: list[PlanNode]) -> list[np.ndarray]:
-        """Per-position ``(1, f_type)`` feature rows for one plan.
-
-        Single-plan twin of :meth:`_featurize_bucket`: same programs,
-        same cache, no pooled stacking buffers (each block is one small
-        allocation that the cache retains on a miss).
-        """
-        cache = self.feature_cache
-        blocks: Optional[dict] = None
-        digest: tuple = ()
-        if cache is not None:
-            digest = self.programs.digest(graph, nodes)
-            blocks = cache.get(digest)
-        features: list[np.ndarray] = [np.empty(0)] * graph.n_nodes
-        if blocks is None:
-            blocks = {}
-            for program, positions in self.programs.layout(graph):
-                blocks[program.ltype] = program.run(
-                    [nodes[pos] for pos in positions], dtype=self.dtype
-                )
-            if cache is not None:
-                cache.put(digest, blocks)
-        for program, positions in self.programs.layout(graph):
-            block = blocks[program.ltype]
-            for k, pos in enumerate(positions):
-                features[pos] = block[k : k + 1]
-        return features

@@ -1,5 +1,7 @@
 """Tests for model bundles and featurizer serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,22 @@ class TestBundle:
         directory = save_bundle(trained, tmp_path / "bundle")
         restored = load_bundle(directory)
         assert restored.config == trained.config
+
+    def test_retired_compiled_engine_loads_as_fused(self, corpus, trained, tmp_path):
+        """A bundle saved while the per-group ``compiled`` engine existed
+        (e.g. a promoted model under a recovery state dir) still loads:
+        the retired engine maps to ``fused``, which computes the same
+        gradients, and predictions are unchanged."""
+        directory = save_bundle(trained, tmp_path / "bundle")
+        config_path = tmp_path / "bundle" / "config.json"
+        fields = json.loads(config_path.read_text())
+        fields["engine"] = "compiled"
+        config_path.write_text(json.dumps(fields))
+        restored = load_bundle(directory)
+        assert restored.config.engine == "fused"
+        assert restored.config == trained.config
+        for sample in corpus[:3]:
+            assert restored.predict(sample.plan) == trained.predict(sample.plan)
 
     def test_missing_file_detected(self, trained, tmp_path):
         directory = save_bundle(trained, tmp_path / "bundle")

@@ -1,32 +1,37 @@
-"""Compiled and level-fused (tape-free) training engines vs. the taped
-reference.
+"""The level-fused (tape-free) training engine vs. the taped reference.
 
-The tape-free paths — per-group ``CompiledSchedule.forward_training`` /
-``backward`` and the cross-structure ``LevelPlan`` behind the trainer's
-``fused`` engine — must compute the *same* gradients as the taped
-autodiff they replace.  These tests pin that equivalence at <= 1e-9
-(including a property-style sweep over random plan structures and
-depths) and check both engines end to end.
+The cross-structure ``LevelPlan`` behind the trainer's ``fused`` engine
+and the model's single-plan ``predict_operators`` must compute the
+*same* outputs and gradients as the taped autodiff oracle
+(``QPPNet.forward_group``).  These tests pin that equivalence at
+<= 1e-9 (including property-style sweeps over random plan structures
+and depths) and check both engines end to end.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import nn
 from repro.core import (
-    CompiledSchedule,
+    MIN_PREDICTION_MS,
     LevelPlan,
     PlanGraph,
     PreGroupedCorpus,
     QPPNet,
     QPPNetConfig,
+    StructureGroup,
+    TRAINING_ENGINES,
     Trainer,
     group_by_structure,
+    plan_graph,
     vectorize_corpus,
 )
 from repro.core.unit import NeuralUnit
 from repro.featurize import Featurizer
 from repro.nn.gradcheck import numerical_gradient
+from repro.plans import PlanNode
 from repro.plans.operators import LogicalType
 from repro.workload import Workbench
 
@@ -69,24 +74,6 @@ def _max_grad_diff(model, reference):
 
 class TestGradientEquivalence:
     @pytest.mark.parametrize("loss", ["mse", "rmse"])
-    def test_compiled_matches_taped(self, corpus, featurizer, loss):
-        config = tiny_config(loss=loss)
-        model = QPPNet(featurizer, config)
-        trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
-
-        model.zero_grad()
-        taped_loss = trainer.batch_loss(vec)
-        taped_loss.backward()
-        taped = _grad_snapshot(model)
-
-        model.zero_grad()
-        compiled_loss = trainer.compiled_loss_backward(group_by_structure(vec))
-
-        assert abs(taped_loss.item() - compiled_loss) <= GRAD_TOL
-        assert _max_grad_diff(model, taped) <= GRAD_TOL
-
-    @pytest.mark.parametrize("loss", ["mse", "rmse"])
     def test_fused_matches_taped(self, corpus, featurizer, loss):
         """The cross-structure level-fused engine computes the taped loss
         and gradients (one matmul per unit type per depth or not)."""
@@ -106,10 +93,7 @@ class TestGradientEquivalence:
         assert abs(taped_loss.item() - fused_loss) <= GRAD_TOL
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
-    @pytest.mark.parametrize("engine_loss", ["compiled_loss_backward", "fused_loss_backward"])
-    def test_tape_free_matches_taped_with_flat_binding(
-        self, corpus, featurizer, engine_loss
-    ):
+    def test_tape_free_matches_taped_with_flat_binding(self, corpus, featurizer):
         """Equivalence must also hold when grads land in flat-space views."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
@@ -122,7 +106,7 @@ class TestGradientEquivalence:
 
         flat = trainer._ensure_flat()
         flat.zero_grad()
-        getattr(trainer, engine_loss)(group_by_structure(vec))
+        trainer.fused_loss_backward(group_by_structure(vec))
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
     def test_fused_padded_batch_matches_subset(self, corpus, featurizer):
@@ -159,34 +143,19 @@ class TestGradientEquivalence:
         Trainer(model, config).fit(corpus)
         assert len(model.level_plans) == 1
 
-    def test_backward_rejects_foreign_seed_buffers(self, corpus, featurizer):
-        """CompiledSchedule.backward requires the alloc_output_grads views
-        (they alias the global gradient buffer the level plan walks)."""
-        config = tiny_config()
-        model = QPPNet(featurizer, config)
-        vec = vectorize_corpus(corpus, featurizer)
-        group = group_by_structure(vec)[0]
-        schedule = model.compile_schedule(group.graph)
-        _, tape = schedule.forward_training(group.features)
-        foreign = [
-            np.zeros((group.n_plans, model.config.data_size + 1))
-            for _ in range(schedule.n_nodes)
-        ]
-        with pytest.raises(ValueError):
-            schedule.backward(tape, foreign)
-
     def test_compiled_gradients_match_numerical(self, corpus, featurizer):
-        """gradcheck the compiled path itself against central differences."""
+        """gradcheck the fused (tape-free) path itself against central
+        differences."""
         config = tiny_config(hidden_layers=1, neurons=6, data_size=2)
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
         groups = group_by_structure(vectorize_corpus(corpus[:4], featurizer))
 
         def loss_fn():
-            return nn.Tensor(np.array(trainer.compiled_loss_backward(groups)))
+            return nn.Tensor(np.array(trainer.fused_loss_backward(groups)))
 
         model.zero_grad()
-        trainer.compiled_loss_backward(groups)
+        trainer.fused_loss_backward(groups)
         # Snapshot before probing: every loss_fn() call accumulates
         # another backward pass into param.grad.
         analytic = _grad_snapshot(model)
@@ -203,8 +172,8 @@ class TestGradientEquivalence:
 
     def test_leaf_fusion_present(self, corpus, featurizer):
         """The workload has multi-scan plans, so level-0 fusion must engage
-        (the generalization of the former FusedLeafGroup: leaves are just
-        depth-0 level steps)."""
+        within a single-graph level plan (leaves are just depth-0 level
+        steps)."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
         vec = vectorize_corpus(corpus, featurizer)
@@ -213,12 +182,12 @@ class TestGradientEquivalence:
             if sum(1 for t, kids in zip(p.graph.types, p.graph.children)
                    if not kids) >= 2
         )
-        schedule = model.compile_schedule(multi_scan.graph)
-        leaf_steps = [s for s in schedule.levels.steps if s.level == 0]
+        plan = model.compile_level_plan([multi_scan.graph])
+        leaf_steps = [s for s in plan.steps if s.level == 0]
         assert any(len(s.entries) >= 2 for s in leaf_steps)
         # Every position belongs to exactly one level step.
-        seen = [e.pos for s in schedule.levels.steps for e in s.entries]
-        assert sorted(seen) == list(range(schedule.n_nodes))
+        seen = [e.pos for s in plan.steps for e in s.entries]
+        assert sorted(seen) == list(range(multi_scan.graph.n_nodes))
         # Leaves are exactly the level-0 entries.
         leaves = {pos for pos, kids in enumerate(multi_scan.graph.children) if not kids}
         assert {e.pos for s in leaf_steps for e in s.entries} == leaves
@@ -297,14 +266,16 @@ class TestRandomStructureEquivalence:
         labels = [rng.standard_normal((b, g.n_nodes)) for g, b in zip(graphs, counts)]
         total_ops = sum(b * g.n_nodes for g, b in zip(graphs, counts))
 
-        # Taped reference: per-group schedules, autodiff backward, the
-        # trainer's mse objective.
+        # Taped reference: the model's per-group forward_group (it only
+        # reads ``units``), autodiff backward, the trainer's mse objective.
+        taped_model = SimpleNamespace(units=units)
         for unit in units.values():
             unit.zero_grad()
         total = None
         taped_forward = {}
         for gi, (graph, feats, labs) in enumerate(zip(graphs, features, labels)):
-            outputs = CompiledSchedule(graph, units).run_training(feats)
+            group = StructureGroup(graph, feats, labs)
+            outputs = QPPNet.forward_group(taped_model, group)
             for pos in range(graph.n_nodes):
                 taped_forward[(gi, pos)] = outputs[pos].data.copy()
                 diff = outputs[pos][:, :1] - nn.Tensor(labs[:, pos : pos + 1])
@@ -343,6 +314,54 @@ class TestRandomStructureEquivalence:
             for name, p in unit.named_parameters()
         )
         assert worst <= GRAD_TOL
+
+
+def _random_plan(rng: np.random.Generator, donors: dict, max_depth: int) -> PlanNode:
+    """A random plan tree of real operator nodes, honouring each arity.
+
+    ``donors`` maps arity -> corpus nodes; every node of the result copies
+    a random donor's operator and properties, so the featurizer fitted on
+    the corpus covers it while the tree shape is new.
+    """
+    if max_depth == 0 or rng.random() < 0.3:
+        arity = 0
+    else:
+        arity = 2 if rng.random() < 0.4 else 1
+    donor = donors[arity][int(rng.integers(len(donors[arity])))]
+    children = [_random_plan(rng, donors, max_depth - 1) for _ in range(arity)]
+    return PlanNode(donor.op, donor.props, children)
+
+
+class TestRandomPlanPredictions:
+    """Single-plan serving (``QPPNet.predict_operators``, one single-graph
+    level plan) against the taped ``forward_group`` oracle, over random
+    plan structures and depths, in float64."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_predict_operators_matches_taped_random_plans(
+        self, corpus, featurizer, seed
+    ):
+        donors: dict[int, list] = {0: [], 1: [], 2: []}
+        for sample in corpus:
+            for node in sample.plan.preorder():
+                donors[len(node.children)].append(node)
+        rng = np.random.default_rng(500 + seed)
+        config = tiny_config(hidden_layers=int(rng.integers(1, 3)), seed=seed)
+        model = QPPNet(featurizer, config)
+        scale = featurizer.latency_scale_ms
+        for _ in range(5):
+            plan = _random_plan(rng, donors, max_depth=int(rng.integers(1, 6)))
+            graph = plan_graph(plan)
+            features = [f.reshape(1, -1) for f in featurizer.transform_plan(plan)]
+            group = StructureGroup(graph, features, np.zeros((1, graph.n_nodes)))
+            outputs = model.forward_group(group)
+            taped = [
+                max(MIN_PREDICTION_MS, float(outputs[pos].data[0, 0]) * scale)
+                for pos in range(graph.n_nodes)
+            ]
+            fused = model.predict_operators(plan)
+            assert len(fused) == graph.n_nodes
+            assert np.max(np.abs(np.subtract(fused, taped))) <= GRAD_TOL
 
 
 class TestDtypeTiers:
@@ -576,29 +595,22 @@ class TestPreGroupedCorpus:
 
 class TestCompiledFit:
     def test_engine_selection(self, featurizer):
+        assert TRAINING_ENGINES == ("fused", "taped")
         config = tiny_config(mode="both")  # default engine
-        trainer = Trainer(QPPNet(featurizer, config), config)
-        assert trainer.execution_engine == "fused"
-        assert trainer.uses_compiled_engine
-        for engine in ("fused", "compiled"):
-            config = tiny_config(mode="both", engine=engine)
-            trainer = Trainer(QPPNet(featurizer, config), config)
-            assert trainer.execution_engine == engine
-            assert trainer.uses_compiled_engine
+        assert config.engine == "fused"
+        assert Trainer(QPPNet(featurizer, config), config).uses_fused_engine
         config = tiny_config(mode="both", engine="taped")
-        trainer = Trainer(QPPNet(featurizer, config), config)
-        assert trainer.execution_engine == "taped"
-        assert not trainer.uses_compiled_engine
+        assert not Trainer(QPPNet(featurizer, config), config).uses_fused_engine
         # Ablation modes always run taped, whatever the engine says.
         for mode in ("naive", "batching", "info_sharing"):
             config = tiny_config(mode=mode)
-            trainer = Trainer(QPPNet(featurizer, config), config)
-            assert trainer.execution_engine == "taped"
-            assert not trainer.uses_compiled_engine
+            assert not Trainer(QPPNet(featurizer, config), config).uses_fused_engine
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
             tiny_config(engine="jit")
+        with pytest.raises(ValueError):
+            tiny_config(engine="compiled")  # retired; bundles map it at load
 
     def test_compiled_fit_reduces_loss(self, corpus, featurizer):
         config = tiny_config(epochs=5)
@@ -608,8 +620,8 @@ class TestCompiledFit:
 
     def test_engines_same_trajectory_full_batch(self, corpus, featurizer):
         """With full-corpus batches every unit is used every step, where
-        the loop and fused optimizer semantics coincide — all three
-        engines must then produce near-identical training trajectories."""
+        the loop and fused optimizer semantics coincide — both engines
+        must then produce near-identical training trajectories."""
 
         def run(engine):
             config = tiny_config(epochs=4, batch_size=len(corpus), engine=engine)
@@ -617,11 +629,7 @@ class TestCompiledFit:
             history = Trainer(model, config).fit(corpus)
             return history.train_loss
 
-        taped = run("taped")
-        compiled = run("compiled")
-        fused = run("fused")
-        assert taped == pytest.approx(compiled, rel=1e-6)
-        assert taped == pytest.approx(fused, rel=1e-6)
+        assert run("taped") == pytest.approx(run("fused"), rel=1e-6)
 
     def test_compiled_fit_with_lr_decay_and_adam(self, corpus, featurizer):
         config = tiny_config(optimizer="adam", lr_decay_every=1, lr_decay_gamma=0.5, epochs=2)

@@ -2,14 +2,13 @@
 
 Structural properties of the compiler (one step per unit type per tree
 depth, contiguous output blocks, layout memoization), equivalence of the
-fused forward with the per-group schedules, and the LRU bounds on the
+fused forward with the taped per-group reference, and the LRU bounds on the
 plan cache and serving buffers.
 """
 
 import numpy as np
 import pytest
 
-from repro import nn
 from repro.core import (
     BufferPool,
     LevelPlan,
@@ -139,18 +138,16 @@ class TestCompiler:
 class TestFusedForwardEquivalence:
     def test_matches_per_group_schedules(self, model, groups):
         """The fused whole-batch forward equals running every group through
-        its own compiled schedule, position by position."""
+        the taped ``forward_group`` reference, position by position."""
         plan = LevelPlan([g.graph for g in groups], model.units)
         run = plan.forward_inference(
             [g.features for g in groups], [g.n_plans for g in groups]
         )
         for gi, group in enumerate(groups):
-            schedule = model.compile_schedule(group.graph)
-            with nn.inference_mode():
-                reference = schedule.run_inference(group.features)
+            reference = model.forward_group(group)
             for pos in range(group.graph.n_nodes):
                 fused = run.out[plan.node_slice(run.layout, gi, pos)]
-                assert np.max(np.abs(fused - reference[pos])) <= 1e-9
+                assert np.max(np.abs(fused - reference[pos].data)) <= 1e-9
 
     def test_training_forward_matches_inference(self, model, groups):
         plan = LevelPlan([g.graph for g in groups], model.units)

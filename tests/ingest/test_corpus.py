@@ -8,6 +8,8 @@ import pytest
 
 from repro.ingest import (
     DialectError,
+    IngestError,
+    PlanTooDeepError,
     detect_engine,
     load_explain_dir,
     load_explain_file,
@@ -60,6 +62,40 @@ class TestParse:
             parse(doc)
         plans = parse(doc, validate=False)
         assert plans[0].engine == "postgres"
+
+
+def _sort_chain(depth: int) -> list:
+    """A PostgreSQL EXPLAIN document: ``depth`` Sorts over one Seq Scan."""
+    node = {"Node Type": "Seq Scan", "Relation Name": "t", "Total Cost": 1.0,
+            "Plan Rows": 10, "Plan Width": 4}
+    for _ in range(depth):
+        node = {"Node Type": "Sort", "Sort Key": ["a"], "Total Cost": 1.0,
+                "Plan Rows": 10, "Plan Width": 4, "Plans": [node]}
+    return [{"Plan": node}]
+
+
+class TestDeepPlans:
+    def test_moderate_depth_parses(self):
+        (plan,) = parse(_sort_chain(200))
+        assert plan.plan.node_count() == 201
+
+    def test_deep_chain_is_typed_not_recursion_error(self):
+        """A 1500-deep chain exceeds the recursive parsers; ``parse`` must
+        raise a typed ingest error, never a bare RecursionError."""
+        with pytest.raises(PlanTooDeepError) as exc_info:
+            parse(_sort_chain(1500))
+        assert isinstance(exc_info.value, IngestError)
+        assert isinstance(exc_info.value.__cause__, RecursionError)
+        assert exc_info.value.engine == "postgres"
+
+    def test_deep_chain_text_is_typed(self):
+        """The same depth as JSON text: the decoder recurses first."""
+        depth = 1500
+        leaf = '{"Node Type": "Seq Scan", "Relation Name": "t", "Total Cost": 1.0}'
+        head = '{"Node Type": "Sort", "Total Cost": 1.0, "Plans": ['
+        text = '[{"Plan": ' + head * depth + leaf + "]}" * depth + "}]"
+        with pytest.raises(PlanTooDeepError):
+            parse(text)
 
 
 class TestTemplateOfFilename:

@@ -4,7 +4,7 @@ registry behaviour (ISSUE: compile-once + structure-bucketed serving)."""
 import numpy as np
 import pytest
 
-from repro.core import QPPNet, QPPNetConfig, plan_graph, save_bundle
+from repro.core import QPPNet, QPPNetConfig, save_bundle
 from repro.featurize import Featurizer
 from repro.serving import InferenceSession, ModelRegistry
 from repro.workload import Workbench
@@ -63,13 +63,13 @@ class TestBatchAgreement:
     def test_empty_batch_never_touches_compile_caches(self, model):
         """The empty fast path must not compile, cache or pool anything —
         the coalescing service can legitimately drain nothing."""
-        model.schedules.clear()
+        model.single_plans.clear()
         model.level_plans.clear()
         session = InferenceSession(model)
         assert session.predict_batch([]).shape == (0,)
         assert session.predict_operators_batch([]) == []
         assert model.level_plans.hits == model.level_plans.misses == 0
-        assert model.schedules.hits == model.schedules.misses == 0
+        assert model.single_plans.hits == model.single_plans.misses == 0
         assert len(session._pool) == 0
 
     def test_repeated_calls_are_stable(self, session, corpus):
@@ -155,22 +155,9 @@ class TestFeatureCache:
         assert stats.feature_cache_hits + stats.feature_cache_misses > 0
 
 
-class TestScheduleCache:
-    def test_same_structure_returns_same_schedule_object(self, model, corpus):
-        by_signature = {}
-        for sample in corpus:
-            by_signature.setdefault(sample.plan.structure_signature(), []).append(
-                sample.plan
-            )
-        signature, twins = max(by_signature.items(), key=lambda kv: len(kv[1]))
-        assert len(twins) >= 2, "corpus should repeat structures"
-        first = model.compile_schedule(plan_graph(twins[0]))
-        second = model.compile_schedule(plan_graph(twins[1]))
-        assert first is second
-        assert first.signature == signature
-
+class TestPlanCaches:
     def test_cache_hit_statistics(self, model, corpus):
-        model.schedules.clear()
+        model.single_plans.clear()
         model.level_plans.clear()
         session = InferenceSession(model)
         plans = [s.plan for s in corpus]
@@ -180,29 +167,25 @@ class TestScheduleCache:
         session.predict_batch(plans)
         assert model.level_plans.misses == 1  # warm now
         assert model.level_plans.hits == 1
-        # The single-plan fast path goes through per-structure schedules.
+        # Session predict is a batch of one through the same cache.
         session.predict(plans[0])
-        assert model.schedules.misses == 1
+        assert model.level_plans.misses == 2
         session.predict(plans[0])
-        assert model.schedules.misses == 1  # warm now
+        assert model.level_plans.misses == 2
+        assert model.single_plans.hits == model.single_plans.misses == 0
 
-    def test_lru_eviction(self, model, corpus):
-        from repro.core import ScheduleCache
-
-        cache = ScheduleCache(maxsize=2)
-        graphs = []
-        for sample in corpus:
-            graph = plan_graph(sample.plan)
-            if graph.signature not in {g.signature for g in graphs}:
-                graphs.append(graph)
-            if len(graphs) == 3:
-                break
-        assert len(graphs) == 3
-        a = cache.get(graphs[0], model.units)
-        cache.get(graphs[1], model.units)
-        cache.get(graphs[2], model.units)  # evicts graphs[0]
-        assert len(cache) == 2
-        assert cache.get(graphs[0], model.units) is not a  # recompiled
+    def test_model_predict_never_touches_serving_plans(self, model, corpus):
+        """QPPNet.predict (the taped fallback tier's path) compiles into its
+        own bounded cache, so it can neither evict nor reuse the serving
+        level plans."""
+        model.single_plans.clear()
+        model.level_plans.clear()
+        assert model.single_plans.maxsize == 256
+        plan = corpus[0].plan
+        model.predict(plan)
+        model.predict_operators(plan)
+        assert (model.single_plans.misses, model.single_plans.hits) == (1, 1)
+        assert model.level_plans.hits == model.level_plans.misses == 0
 
 
 class TestModelRegistry:

@@ -388,6 +388,39 @@ class TestStateMachine:
             manager.retrain()
         assert manager.state == LifecycleState.LIVE  # failed gate: no transition
 
+    def test_background_loop_errors_are_bounded_and_counted(
+        self, model, tmp_path, monkeypatch
+    ):
+        """A step() that always fails: the loop survives, ``errors`` keeps
+        only the newest MAX_KEPT_ERRORS exceptions, ``error_count`` all."""
+        service, _ = make_service(model)
+        manager = LifecycleManager(
+            service,
+            make_monitor(0.3),
+            LifecycleConfig(checkpoint_dir=tmp_path, poll_interval_s=0.001),
+        )
+        calls = []
+
+        def failing_step():
+            calls.append(None)
+            raise RuntimeError(f"injected step failure {len(calls)}")
+
+        monkeypatch.setattr(manager, "step", failing_step)
+        bound = LifecycleManager.MAX_KEPT_ERRORS
+        manager.start()
+        thread = manager._thread
+        deadline = time.monotonic() + 30
+        while manager.error_count <= bound and time.monotonic() < deadline:
+            time.sleep(0.005)
+        manager.stop(timeout=10)
+        assert not thread.is_alive()
+        total = manager.error_count
+        assert total > bound
+        assert total == len(calls)
+        assert len(manager.errors) == bound
+        assert str(manager.errors[-1]) == f"injected step failure {total}"
+        assert manager.state == LifecycleState.LIVE
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             LifecycleConfig(checkpoint_dir=tmp_path, fine_tune_epochs=0)

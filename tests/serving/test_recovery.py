@@ -326,6 +326,29 @@ class TestKillDuringAppend:
         stack.journal.close()
 
 
+    def test_failing_journal_prune_is_counted(
+        self, tmp_path, model, corpus, plans, baseline_rel_error, monkeypatch
+    ):
+        """Journal retention after a snapshot is best-effort: a failing
+        prune keeps the snapshot, never raises, and is counted."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+
+        def broken_prune(keep_from):
+            raise OSError("injected prune failure")
+
+        monkeypatch.setattr(stack.service.outcomes.journal, "prune", broken_prune)
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:48])
+        assert stack.manager.prune_errors == 0
+        stack.manager.poll()  # 48 >= drift_snapshot_every: snapshot + prune
+        assert (tmp_path / DRIFT_SNAPSHOT_NAME).exists()
+        assert stack.manager.snapshot_errors == 0
+        assert stack.manager.prune_errors == 1
+        assert stack.manager.snapshot_drift()  # the snapshot itself succeeds
+        assert stack.manager.prune_errors == 2
+        stack.journal.close()
+
+
 # ----------------------------------------------------------------------
 # Kill mid-retrain: bitwise resume through recovery (acceptance)
 # ----------------------------------------------------------------------

@@ -554,7 +554,7 @@ def test_lifecycle_overhead(workload, tmp_path):
                 error_ratio=1e9, ph_threshold=1e9, unseen_rate=1.01
             ),
         )
-        config = LifecycleConfig(checkpoint_dir=tmp_path, poll_interval_s=0.005)
+        config = LifecycleConfig(state_dir=tmp_path, poll_interval_s=0.005)
         return LifecycleManager(service, monitor, config).start()
 
     plain_s, _ = run_service(observe=False)

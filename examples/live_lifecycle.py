@@ -64,14 +64,14 @@ def main() -> None:
     )
     print(f"offline baseline rel error: {monitor.baseline_rel_error:.3f}")
 
-    with tempfile.TemporaryDirectory() as checkpoints, PredictionService(
+    with tempfile.TemporaryDirectory() as state_dir, PredictionService(
         model, max_batch_size=64, max_wait_ms=0.5
     ) as service:
         manager = LifecycleManager(
             service,
             monitor,
             LifecycleConfig(
-                checkpoint_dir=checkpoints,
+                state_dir=state_dir,
                 fine_tune_epochs=10,
                 min_retrain_outcomes=64,
                 shadow_min_outcomes=32,

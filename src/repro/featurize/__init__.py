@@ -5,8 +5,7 @@ training corpus (one-hot vocabularies, per-type whitening statistics, the
 latency scale) and maps any plan node to its fixed-size ``F(op)`` vector:
 ``transform_node`` walks the per-operator :class:`FeatureSchema`
 (:data:`FEATURE_SCHEMAS`, a 1:1 transcription of paper Table 2) property
-by property; ``transform_aligned`` is its column-vectorized twin for one
-batch of same-type nodes.  This tier is the readable source of truth —
+by property.  This tier is the readable source of truth —
 every fast path is property-tested bitwise-equal against it in float64.
 
 **Tier 2 — compiled feature programs** (:mod:`repro.featurize.compiled`).

@@ -17,8 +17,7 @@ time.  This module compiles the walk away, exactly like
   program over ``B`` same-type nodes is a handful of vectorized column
   assignments plus one fancy-index scatter for *all* hot one-hot cells —
   no schema walk, no per-row ``index_of``, no per-encoder zero vector.
-  Rows are bitwise identical to ``transform_node`` in float64 (the
-  aligned/scalar sync contract extends to this tier; see
+  Rows are bitwise identical to ``transform_node`` in float64 (see
   ``tests/featurize/test_compiled.py``).
 
 * :class:`FeatureProgramCache` — lazily compiled programs bound to one
@@ -191,8 +190,9 @@ class FeatureProgram:
         """Featurize ``B`` same-type nodes into a ``(B, width)`` matrix.
 
         Row ``i`` is bitwise identical to ``transform_node(nodes[i])`` in
-        float64; a non-float64 ``out`` (or ``dtype``) casts per column
-        write exactly like :meth:`Featurizer.transform_aligned`.
+        float64; a non-float64 ``out`` (or ``dtype``) casts on each
+        column write, so its rows match the float64 rows to within that
+        precision.
         """
         n = len(nodes)
         if n == 0:

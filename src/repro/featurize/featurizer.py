@@ -9,9 +9,8 @@ operator type gets its own neural unit.
 
 Two transform tiers share one fit:
 
-* the **scalar reference** (:meth:`Featurizer.transform_node` /
-  :meth:`transform_aligned`) — the schema walk, readable and exhaustively
-  property-tested; and
+* the **scalar reference** (:meth:`Featurizer.transform_node`) — the
+  schema walk, readable and exhaustively property-tested; and
 * **compiled feature programs** (:meth:`Featurizer.compiled`, see
   :mod:`repro.featurize.compiled`) — the resolved column layout per
   logical type, which the serving and training hot paths run instead.
@@ -30,7 +29,7 @@ import numpy as np
 from repro.plans.node import PlanNode
 from repro.plans.operators import LogicalType
 
-from .encoders import NumericWhitener, OneHotEncoder, boolean_value, encode_boolean
+from .encoders import NumericWhitener, OneHotEncoder, encode_boolean
 from .schema import FEATURE_SCHEMAS, FeatureSchema
 
 
@@ -132,10 +131,6 @@ class Featurizer:
     # Numeric assembly (pre-whitening)
     # ------------------------------------------------------------------
     def _numeric_row(self, node: PlanNode, schema: FeatureSchema) -> np.ndarray:
-        # NOTE: transform_aligned vectorizes this exact sequence of
-        # transforms column-wise; any encoding change here must be
-        # mirrored there (tests/featurize/test_aligned.py asserts the
-        # two paths stay bitwise equal).
         parts: list[float] = []
         for prop in schema.numeric_log:
             parts.append(float(np.log1p(max(0.0, float(node.props.get(prop, 0.0))))))
@@ -185,123 +180,6 @@ class Featurizer:
     def transform_plan(self, root: PlanNode) -> list[np.ndarray]:
         """Vectorize every node of a plan, in preorder."""
         return [self.transform_node(node) for node in root.preorder()]
-
-    def transform_aligned(
-        self,
-        nodes: Sequence[PlanNode],
-        out: Optional[np.ndarray] = None,
-        dtype: np.dtype = np.float64,
-    ) -> np.ndarray:
-        """Vectorize same-type nodes together into a ``(B, f_type)`` matrix.
-
-        The batched-serving hot path: ``nodes`` are the operator
-        instances occupying one tree position across a structure bucket
-        (all the same logical type), so the per-feature transforms —
-        ``log1p``, sign-preserving log, whitening, one-hot lookups —
-        apply once per column over the whole batch instead of once per
-        node.  Row ``i`` is bitwise identical to ``transform_node(nodes[i])``
-        in float64 (and its rounding in float32).
-        ``out``, when given, must be ``(B, f_type)`` and is written in
-        place (buffer reuse; see :class:`repro.core.batching.BufferPool`);
-        its dtype *is* the feature precision — a float32 serving session
-        hands in float32 pool buffers and every column block lands in
-        that dtype with at most a per-column cast on write (small
-        per-column staging rows may still compute in float64 to stay in
-        lockstep with the scalar path; there is never a full float64
-        feature matrix built and copied after the fact).  ``dtype`` only
-        sets the allocation precision when ``out`` is None.
-
-        NOTE: this vectorizes ``transform_node``/``_numeric_row``
-        column-wise; the two implementations must be kept in sync (the
-        aligned-vs-scalar property test enforces bitwise equality).
-        """
-        if not self._fitted:
-            raise RuntimeError("featurizer is not fitted")
-        if not nodes:
-            raise ValueError(
-                "transform_aligned requires at least one node (empty buckets "
-                "have no logical type to resolve a layout from)"
-            )
-        ltype = nodes[0].logical_type
-        schema = FEATURE_SCHEMAS[ltype]
-        n = len(nodes)
-        width = self.feature_size(ltype)
-        if out is None:
-            out = np.empty((n, width), dtype=dtype)
-        elif out.shape != (n, width):
-            raise ValueError(f"out must have shape {(n, width)}, got {out.shape}")
-        props = [node.props for node in nodes]
-
-        # Numeric block: gather raw values per column into `out`, then
-        # apply the same ufuncs _numeric_row applies per scalar —
-        # vectorized over the batch, elementwise so rows stay bitwise
-        # equal to the scalar path.
-        col = 0
-        if schema.numeric_log:
-            stop = col + len(schema.numeric_log)
-            block = out[:, col:stop]
-            block[:] = [
-                [float(p.get(prop, 0.0)) for prop in schema.numeric_log] for p in props
-            ]
-            # np.where, not np.maximum: Python's max(0.0, v) — the scalar
-            # path — resolves NaN to 0.0, and the two paths must agree.
-            np.log1p(np.where(block > 0.0, block, 0.0), out=block)
-            col = stop
-        if schema.numeric_raw:
-            stop = col + len(schema.numeric_raw)
-            out[:, col:stop] = [
-                [float(p.get(prop, 0.0)) for prop in schema.numeric_raw] for p in props
-            ]
-            col = stop
-        for prop, length in schema.vectors:
-            rows = []
-            for p in props:
-                values = list(p.get(prop, ()))[:length]
-                values += [0.0] * (length - len(values))
-                rows.append(values)
-            mat = np.array(rows, dtype=np.float64)
-            out[:, col : col + length] = np.sign(mat) * np.log1p(np.abs(mat))
-            col += length
-        if self._extra_numeric_fn is not None:
-            extra = np.array(
-                [[float(v) for v in self._extra_numeric_fn(node)] for node in nodes]
-            )
-            if extra.shape != (n, self._n_extra):
-                raise ValueError(
-                    f"extra_numeric_fn produced shape {extra.shape}, expected "
-                    f"{(n, self._n_extra)} (arity is fixed at fit())"
-                )
-            out[:, col : col + self._n_extra] = extra
-            col += self._n_extra
-        whitener = self._whiteners.get(ltype)
-        if whitener is not None and whitener.is_fitted:
-            numeric = out[:, :col]
-            numeric -= whitener.mean_
-            numeric /= whitener.std_
-
-        # Categorical / boolean blocks: zero-fill then set hot indices.
-        def onehot_block(encoder: OneHotEncoder, values) -> None:
-            nonlocal col
-            block = out[:, col : col + encoder.size]
-            block[:] = 0.0
-            for i, value in enumerate(values):
-                idx = encoder.index_of(value)
-                if idx is not None:
-                    block[i, idx] = 1.0
-            col += encoder.size
-
-        for prop, _ in schema.fixed_onehots:
-            onehot_block(self._onehots[(ltype, prop)], (p.get(prop) for p in props))
-        for prop in schema.learned_onehots:
-            onehot_block(self._onehots[(ltype, prop)], (p.get(prop) for p in props))
-        for prop in schema.booleans:
-            out[:, col] = [boolean_value(p.get(prop, False)) for p in props]
-            col += 1
-        if schema.physical_ops:
-            onehot_block(
-                self._onehots[(ltype, "__physical__")], (node.op.value for node in nodes)
-            )
-        return out
 
     # ------------------------------------------------------------------
     # Compiled tier

@@ -181,10 +181,16 @@ everything: an append-only, segment-rotated, per-record-checksummed
 outcome journal (``journal/``), a periodic atomic drift-monitor
 snapshot (``drift.json``), retrain checkpoints (``checkpoints/``),
 versioned model bundles (``models/``) and one atomically-replaced
-manifest (``manifest.json``) tying them together.
-:meth:`~repro.serving.recovery.ServiceRecovery.create` arms it on first
-boot; after a crash :meth:`~repro.serving.recovery.ServiceRecovery
-.recover` rebuilds the full stack from the directory alone.
+manifest (``manifest.json``) tying them together.  There is one state
+machine, :class:`~repro.serving.lifecycle.LifecycleManager`, and its
+``LifecycleConfig.state_dir`` is that directory: the manager always
+writes its fine-tune checkpoints there, and once it holds a bundle
+pointer for its model it also writes the drift snapshot, the manifest
+and promoted bundles.
+:meth:`~repro.serving.recovery.ServiceRecovery.create` installs the
+pointer and arms the journal on first boot; after a crash
+:meth:`~repro.serving.recovery.ServiceRecovery.recover` rebuilds the
+full stack from the directory alone.
 
 **What survives a crash at any instant:**
 
@@ -204,7 +210,8 @@ boot; after a crash :meth:`~repro.serving.recovery.ServiceRecovery
   last checkpoint;
 * the live model pointer: promotion saves the candidate's bundle to a
   fresh versioned directory *before* the swap and republishes the
-  manifest after, so the manifest only ever names complete bundles.
+  manifest after, so the manifest only ever names complete bundles;
+  a rollback moves the pointer back to the previous bundle.
 
 **Torn and rotten disk state degrades, never raises:** a torn final
 record is truncated away, a record whose CRC fails is skipped, a
@@ -214,9 +221,11 @@ counter, a failed snapshot or manifest write increments
 ``snapshot_errors``/``manifest_errors``, a failed journal prune
 increments ``prune_errors`` — all surfaced as typed
 counters on :class:`~repro.serving.journal.ReplayResult` and the
-:class:`~repro.serving.recovery.RecoveryReport`.  Only unrecoverable
-damage (missing/corrupt manifest, unloadable bundle) raises
-:class:`~repro.serving.resilience.RecoveryError`.
+:class:`~repro.serving.recovery.RecoveryReport`; a digest-valid
+snapshot with bad contents is treated as damaged (cold full replay).
+Only unrecoverable damage (a missing, corrupt or malformed manifest, an
+unloadable bundle) raises :class:`~repro.serving.resilience
+.RecoveryError`, never a bare builtin exception.
 
 **Lost by design:** un-fsynced tail records; in-memory shadow evidence
 (a crash in ``shadow`` recovers into ``retraining`` — the candidate is
@@ -274,7 +283,6 @@ from .lifecycle import (
     ShadowSession,
 )
 from .recovery import (
-    DurableLifecycleManager,
     RecoveredStack,
     RecoveryReport,
     ServiceRecovery,
@@ -321,5 +329,4 @@ __all__ = [
     "ServiceRecovery",
     "RecoveredStack",
     "RecoveryReport",
-    "DurableLifecycleManager",
 ]

@@ -31,6 +31,22 @@ under explicit control — every stage (:meth:`poll`, :meth:`retrain`,
 :meth:`deploy_shadow`, :meth:`promote`, :meth:`demote`) is a public
 synchronous method, which is how the chaos drills squeeze faults into
 exact points of the cycle.
+
+All of a manager's durable state lives under one directory,
+:attr:`LifecycleConfig.state_dir`, whose layout is defined here once::
+
+    state/
+      checkpoints/cycle-NNN/   <- fine-tune checkpoints, one dir per cycle
+      drift.json               <- periodic atomic DriftMonitor snapshot
+      manifest.json            <- atomic JSON: state machine + model pointers
+      models/<name>/cycle-NNN/ <- versioned model bundles (pointer-swapped)
+
+Fine-tune checkpoints are always written.  The drift snapshot, the
+manifest and promoted bundles are written only while the manager holds
+a durable bundle pointer for its model — installed by
+:class:`~repro.serving.recovery.ServiceRecovery` through
+:meth:`LifecycleManager.restore_progress` — because a manifest that
+names no bundle could never be recovered.
 """
 
 from __future__ import annotations
@@ -39,12 +55,13 @@ import os
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.core.bundle import save_bundle
 from repro.core.checkpoint import atomic_write_json
 from repro.core.trainer import TrainingHistory, fine_tune
 from repro.evaluation.drift import DriftMonitor, DriftReport
@@ -71,6 +88,39 @@ __all__ = [
 #: Registry-name suffix the shadow candidate is published under while it
 #: shadow-serves (explicitly routable for operator smoke traffic).
 CANDIDATE_SUFFIX = "-candidate"
+
+#: The state directory's layout (see the module docstring).
+CHECKPOINTS_DIRNAME = "checkpoints"
+DRIFT_SNAPSHOT_NAME = "drift.json"
+MANIFEST_NAME = "manifest.json"
+MODELS_DIRNAME = "models"
+
+#: Bump when the manifest payload changes incompatibly.
+MANIFEST_FORMAT_VERSION = 1
+
+#: LifecycleConfig fields persisted in (and restored from) the manifest
+#: — the ones that shape retraining, so a recovered manager resumes an
+#: interrupted fine-tune with identical hyperparameters.
+_PERSISTED_CONFIG_FIELDS = (
+    "fine_tune_epochs",
+    "fine_tune_lr",
+    "fine_tune_batch_size",
+    "checkpoint_every",
+    "min_retrain_outcomes",
+    "max_retrain_outcomes",
+    "shadow_min_outcomes",
+    "promote_margin",
+    "stabilize_outcomes",
+    "poll_interval_s",
+    "cooldown_s",
+    "shadow_log_size",
+    "drift_snapshot_every",
+)
+
+
+def bundle_path(model_name: str, cycle: int) -> str:
+    """A model bundle's directory, relative to the state directory."""
+    return f"{MODELS_DIRNAME}/{model_name}/cycle-{cycle:03d}"
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +298,13 @@ class ShadowSession:
 class LifecycleConfig:
     """Knobs for :class:`LifecycleManager` (validated on construction)."""
 
-    #: Root directory for retrain checkpoints; each retrain cycle writes
-    #: under ``<checkpoint_dir>/cycle-NNN`` so a crash mid-cycle resumes
-    #: from exactly its own checkpoints.
-    checkpoint_dir: Union[str, os.PathLike]
+    #: The directory holding all of the manager's durable state, laid
+    #: out as the module docstring draws it.  Each retrain cycle writes
+    #: its checkpoints under ``checkpoints/cycle-NNN``, so a crash
+    #: mid-cycle resumes from exactly its own checkpoints; with a
+    #: durable bundle pointer installed, the drift snapshot, manifest
+    #: and promoted bundles land here too.
+    state_dir: Union[str, os.PathLike]
     #: Fine-tune length and (optional) overrides; ``None`` inherits the
     #: live model's training config.
     fine_tune_epochs: int = 4
@@ -279,12 +332,10 @@ class LifecycleConfig:
     epoch_hook: Optional[Callable[[int], None]] = None
     #: Bound on the shadow disagreement journal.
     shadow_log_size: int = 4096
-    #: Where :meth:`LifecycleManager.poll` atomically snapshots the
-    #: drift monitor's state (``None`` disables snapshots).  With a
+    #: Drift-snapshot cadence: one atomic write of ``drift.json`` per
+    #: this many consumed outcomes (durable managers only).  With a
     #: snapshot on disk, crash recovery replays only the outcome-journal
     #: suffix past the snapshot's cursor instead of the whole journal.
-    drift_snapshot_path: Optional[Union[str, os.PathLike]] = None
-    #: Snapshot cadence: one atomic write per this many consumed outcomes.
     drift_snapshot_every: int = 64
 
     def __post_init__(self) -> None:
@@ -329,13 +380,24 @@ class LifecycleManager:
     (or real death) mid-fine-tune leaves the state machine in
     ``retraining`` with durable checkpoints on disk, and the next
     :meth:`retrain` — same manager or a fresh one over the same
-    ``checkpoint_dir`` and outcome journal — resumes from the last
+    ``state_dir`` and outcome journal — resumes from the last
     checkpoint, reproducing the uninterrupted fit bitwise.
+
+    **Durability.** Once :meth:`restore_progress` has installed a bundle
+    pointer for the model (what :class:`~repro.serving.recovery
+    .ServiceRecovery` does), every transition atomically republishes
+    ``manifest.json``, :meth:`poll` periodically snapshots the drift
+    monitor, and :meth:`promote` saves the candidate's bundle before
+    the swap and moves the pointer after it.  Without a pointer only
+    fine-tune checkpoints are written.
     """
 
     #: How many of the background loop's swallowed exceptions ``errors``
     #: retains (the oldest are dropped; ``error_count`` keeps counting).
     MAX_KEPT_ERRORS = 32
+    #: How many ``(state, detail)`` entries ``events`` retains (the
+    #: oldest are dropped; ``event_count`` keeps counting).
+    MAX_KEPT_EVENTS = 256
 
     def __init__(
         self,
@@ -356,8 +418,10 @@ class LifecycleManager:
         self.monitor = monitor
         self.config = config
         self.model_name = name
-        #: (state, detail) transition journal, for observability/tests.
-        self.events: list[tuple[str, str]] = []
+        #: The most recent (state, detail) transitions, for
+        #: observability/tests; ``event_count`` is the total.
+        self.events: deque[tuple[str, str]] = deque(maxlen=self.MAX_KEPT_EVENTS)
+        self._event_count = 0
         #: The most recent exceptions swallowed by the background loop
         #: (it must survive transient failures; SimulatedCrash still
         #: kills it).  Bounded so a persistently failing step does not
@@ -373,6 +437,11 @@ class LifecycleManager:
         self._since_snapshot = 0  # outcomes consumed since the last drift snapshot
         self._snapshot_errors = 0  # swallowed snapshot-write failures
         self._prune_errors = 0  # swallowed journal-prune failures
+        self._manifest_errors = 0  # swallowed manifest-write failures
+        # model name -> bundle directory relative to state_dir; empty
+        # until restore_progress(models=...) makes the manager durable.
+        self._bundles: dict[str, str] = {}
+        self._prev_bundle: Optional[str] = None  # pointer a rollback restores
         self._cooldown_until = 0.0
         self._candidate: Optional[InferenceSession] = None
         self._trained_signatures: frozenset = frozenset()
@@ -425,19 +494,84 @@ class LifecycleManager:
             return self._prune_errors
 
     @property
+    def manifest_errors(self) -> int:
+        """Manifest-write failures swallowed by :meth:`persist_manifest`."""
+        with self._lock:
+            return self._manifest_errors
+
+    @property
     def error_count(self) -> int:
         """Total exceptions swallowed by the background loop (``errors``
         keeps only the most recent :attr:`MAX_KEPT_ERRORS`)."""
         with self._lock:
             return self._error_count
 
+    @property
+    def event_count(self) -> int:
+        """Total events recorded (``events`` keeps only the most recent
+        :attr:`MAX_KEPT_EVENTS`)."""
+        with self._lock:
+            return self._event_count
+
+    def _record_event(self, state: str, detail: str) -> None:
+        # Caller holds self._lock.
+        self._event_count += 1
+        self.events.append((state, detail))
+
     def _transition(self, new: str, detail: str = "") -> None:
         # Caller holds self._lock.
         self._state = LifecycleState.check(self._state, new)
-        self.events.append((new, detail))
+        self._record_event(new, detail)
+        self.persist_manifest()
+
+    def _durable(self) -> bool:
+        # Caller holds self._lock.
+        return self.model_name in self._bundles
 
     def _cycle_dir(self) -> Path:
-        return Path(self.config.checkpoint_dir) / f"cycle-{self._cycle + 1:03d}"
+        return (
+            Path(self.config.state_dir)
+            / CHECKPOINTS_DIRNAME
+            / f"cycle-{self._cycle + 1:03d}"
+        )
+
+    # ------------------------------------------------------------------
+    # Durable state
+    # ------------------------------------------------------------------
+    def persist_manifest(self) -> bool:
+        """Atomically republish ``manifest.json``; ``True`` on success.
+
+        A manager without a bundle pointer has nothing recoverable to
+        publish and returns ``False``.  A failed write is swallowed into
+        ``manifest_errors`` — a sick disk degrades durability, never the
+        state machine.
+        """
+        with self._lock:
+            if not self._durable():
+                return False
+            monitor = self.monitor
+            payload = {
+                "format": MANIFEST_FORMAT_VERSION,
+                "model_name": self.model_name,
+                "state": self._state,
+                "cycle": self._cycle,
+                "models": dict(self._bundles),
+                "drift": {
+                    "baseline_rel_error": monitor.baseline_rel_error,
+                    "thresholds": asdict(monitor.thresholds),
+                    "known_signatures": sorted(monitor.known_signatures),
+                },
+                "lifecycle": {
+                    name: getattr(self.config, name)
+                    for name in _PERSISTED_CONFIG_FIELDS
+                },
+            }
+            try:
+                atomic_write_json(Path(self.config.state_dir) / MANIFEST_NAME, payload)
+            except Exception:
+                self._manifest_errors += 1
+                return False
+            return True
 
     # ------------------------------------------------------------------
     # Stage 1: observe
@@ -448,11 +582,11 @@ class LifecycleManager:
         Also joins each outcome against the shadow log while a candidate
         is shadow-serving (accumulating both models' observed error),
         accounts any evicted gap in ``outcomes_lost`` (a poller that
-        fell behind must not mistake missed news for no news), and —
-        when ``drift_snapshot_path`` is configured — atomically
-        snapshots the monitor's state every ``drift_snapshot_every``
-        consumed outcomes so crash recovery only replays the journal
-        suffix past the snapshot.  Returns the monitor's fresh report.
+        fell behind must not mistake missed news for no news), and — on
+        a durable manager — atomically snapshots the monitor's state
+        every ``drift_snapshot_every`` consumed outcomes so crash
+        recovery only replays the journal suffix past the snapshot.
+        Returns the monitor's fresh report.
         """
         with self._lock:
             records, dropped = self.service.outcomes.since(self._cursor)
@@ -476,27 +610,25 @@ class LifecycleManager:
                             abs(rec.observed_ms - candidate_ms) / rec.observed_ms
                         )
             self._since_snapshot += len(records)
-            if (
-                self.config.drift_snapshot_path is not None
-                and self._since_snapshot >= self.config.drift_snapshot_every
-            ):
+            if self._since_snapshot >= self.config.drift_snapshot_every:
                 self.snapshot_drift()
             return self.monitor.report()
 
     def snapshot_drift(self) -> bool:
         """Atomically persist the drift state now; ``True`` on success.
 
-        Temp + fsync + rename via :func:`repro.core.checkpoint
-        .atomic_write_json`; a failed write is swallowed into
-        ``snapshot_errors`` (the poller must survive a sick disk — the
-        previous snapshot stays valid, replay just covers more journal).
-        On success, on-disk journal segments wholly behind both the
-        snapshot cursor and the in-memory retention window are pruned.
+        Temp + fsync + rename of ``drift.json`` via
+        :func:`repro.core.checkpoint.atomic_write_json`; a manager
+        without a bundle pointer writes nothing and returns ``False``.
+        A failed write is swallowed into ``snapshot_errors`` (the poller
+        must survive a sick disk — the previous snapshot stays valid,
+        replay just covers more journal).  On success, on-disk journal
+        segments wholly behind both the snapshot cursor and the
+        in-memory retention window are pruned.
         """
-        path = self.config.drift_snapshot_path
-        if path is None:
-            return False
         with self._lock:
+            if not self._durable():
+                return False
             payload = {
                 "format": 1,
                 "cursor": self._cursor,
@@ -504,7 +636,9 @@ class LifecycleManager:
                 "monitor": self.monitor.state_dict(),
             }
             try:
-                atomic_write_json(path, payload)
+                atomic_write_json(
+                    Path(self.config.state_dir) / DRIFT_SNAPSHOT_NAME, payload
+                )
             except Exception:
                 self._snapshot_errors += 1
                 return False
@@ -674,6 +808,14 @@ class LifecycleManager:
         retired primary is retained for :meth:`demote` rollback and the
         drift monitor is re-armed for the new model.  Returns the
         retired shadow wrapper.
+
+        A durable manager saves the candidate's bundle to a fresh
+        ``models/<name>/cycle-NNN`` *before* the registry swap and moves
+        the manifest pointer only after it, so every crash window leaves
+        the manifest naming a complete bundle: before the swap the old
+        model recovers, and between the swap and the manifest write the
+        old pointer recovers too (the promotion was not yet durable —
+        the documented lost-by-design window).
         """
         with self._lock:
             if self._state != LifecycleState.SHADOW:
@@ -701,34 +843,47 @@ class LifecycleManager:
                         f"exceeds primary {report.primary_rel_error:.4f} "
                         f"x margin {self.config.promote_margin}"
                     )
+            new_bundle = None
+            if self._durable():
+                new_bundle = bundle_path(self.model_name, self._cycle + 1)
+                save_bundle(
+                    self._candidate.model, Path(self.config.state_dir) / new_bundle
+                )
             registry = self.service.registry
             retired = registry.replace_session(self.model_name, self._candidate)
             registry.unregister(self.model_name + CANDIDATE_SUFFIX)
             self._rollback_to = self._shadow_primary
+            if new_bundle is not None:
+                self._prev_bundle = self._bundles[self.model_name]
+                self._bundles[self.model_name] = new_bundle
+            # The monitor's memory describes the old model; re-arm it for
+            # the new one, and structures the candidate trained on are no
+            # longer "unseen".
+            self.monitor.reset(extend_known=self._trained_signatures)
             self._transition(
                 LifecycleState.PROMOTED,
                 f"candidate err {report.candidate_rel_error:.4f} "
                 f"vs primary {report.primary_rel_error:.4f}",
             )
-            # The monitor's memory describes the old model; re-arm it for
-            # the new one, and structures the candidate trained on are no
-            # longer "unseen".
-            self.monitor.reset(extend_known=self._trained_signatures)
             return retired
 
     def demote(self) -> None:
         """Reject the candidate (from ``shadow``) or roll back a
         promotion (from ``promoted``); the previous model serves again.
-        One atomic swap either way; completes the cycle."""
+        One atomic swap either way; completes the cycle.  A rollback
+        also moves a durable manager's bundle pointer back to the
+        previous bundle, which is still on disk."""
         with self._lock:
             registry = self.service.registry
             if self._state == LifecycleState.SHADOW:
                 registry.replace_session(self.model_name, self._shadow_primary)
                 registry.unregister(self.model_name + CANDIDATE_SUFFIX)
-                self._transition(LifecycleState.DEMOTED, "candidate rejected in shadow")
+                detail = "candidate rejected in shadow"
             elif self._state == LifecycleState.PROMOTED:
                 registry.replace_session(self.model_name, self._rollback_to)
-                self._transition(LifecycleState.DEMOTED, "promotion rolled back")
+                if self._prev_bundle is not None:
+                    self._bundles[self.model_name] = self._prev_bundle
+                detail = "promotion rolled back"
             else:
                 raise LifecycleError(
                     f"demote is only legal from 'shadow' or 'promoted' "
@@ -736,15 +891,18 @@ class LifecycleManager:
                 )
             self.monitor.reset()
             self._finish_cycle()
+            self._transition(LifecycleState.DEMOTED, detail)
             self._cooldown_until = time.monotonic() + self.config.cooldown_s
 
     def _finish_cycle(self) -> None:
-        # Caller holds self._lock.
+        # Caller holds self._lock; runs before the closing transition so
+        # the manifest it publishes already counts the finished cycle.
         self._cycle += 1
         self._candidate = None
         self._shadow_primary = None
         self._shadow_log = None
         self._rollback_to = None
+        self._prev_bundle = None
 
     # ------------------------------------------------------------------
     # The composed tick
@@ -784,8 +942,8 @@ class LifecycleManager:
                 if report.triggered:
                     self.demote()  # rollback
                 elif report.observations >= self.config.stabilize_outcomes:
-                    self._transition(LifecycleState.LIVE, "candidate stabilized")
                     self._finish_cycle()
+                    self._transition(LifecycleState.LIVE, "candidate stabilized")
                     self._cooldown_until = now + self.config.cooldown_s
             elif state == LifecycleState.DEMOTED:
                 if now >= self._cooldown_until:
@@ -798,6 +956,7 @@ class LifecycleManager:
     def restore_progress(
         self, *, state: Optional[str] = None, cycle: Optional[int] = None,
         cursor: Optional[int] = None, outcomes_lost: Optional[int] = None,
+        models: Optional[Mapping[str, str]] = None,
     ) -> None:
         """Adopt durable progress after a cold restart (recovery only).
 
@@ -809,6 +968,11 @@ class LifecycleManager:
         ``demoted``; :class:`~repro.serving.recovery.ServiceRecovery`
         maps ``shadow``/``promoted`` onto those first, since in-memory
         shadow evidence does not survive a crash by design).
+
+        ``models`` maps model names to bundle directories relative to
+        ``state_dir``.  A pointer for this manager's model makes it
+        durable: from then on it writes the manifest, drift snapshots
+        and promoted bundles (see the class docstring).
         """
         with self._lock:
             if state is not None:
@@ -822,7 +986,7 @@ class LifecycleManager:
                         "process holds no candidate or shadow evidence"
                     )
                 self._state = state
-                self.events.append((state, "restored from durable state"))
+                self._record_event(state, "restored from durable state")
             if cycle is not None:
                 if cycle < 0:
                     raise LifecycleError("cycle must be >= 0")
@@ -832,7 +996,11 @@ class LifecycleManager:
                     raise LifecycleError("cursor must be >= 0")
                 self._cursor = int(cursor)
             if outcomes_lost is not None:
+                if outcomes_lost < 0:
+                    raise LifecycleError("outcomes_lost must be >= 0")
                 self._outcomes_lost = int(outcomes_lost)
+            if models is not None:
+                self._bundles = dict(models)
 
     # ------------------------------------------------------------------
     # Background operation
@@ -866,7 +1034,7 @@ class LifecycleManager:
             # ...but a SimulatedCrash (BaseException) kills the thread,
             # exactly like the process death it stands in for; recovery
             # is a fresh manager resuming retrain() over the same
-            # checkpoint_dir.
+            # state_dir.
 
     def __enter__(self) -> "LifecycleManager":
         return self.start()

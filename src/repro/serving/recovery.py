@@ -1,10 +1,12 @@
 """Cold-restart recovery: rebuild the serving stack from a state directory.
 
-:mod:`repro.serving.journal` makes the outcome stream durable and the
-drift monitor snapshots its own state — this module ties those pieces
-(plus model bundles and retrain checkpoints) into one *state
-directory* with a single atomically-replaced manifest, and provides the
-front door that turns a directory back into a running stack::
+:mod:`repro.serving.journal` makes the outcome stream durable, and one
+:class:`~repro.serving.lifecycle.LifecycleManager` with a bundle pointer
+keeps the rest of the state directory current — drift snapshots, the
+atomically-replaced manifest, retrain checkpoints and promoted model
+bundles (layout defined in :mod:`repro.serving.lifecycle`).  This module
+adds the outcome journal beside them and provides the front door that
+turns a directory back into a running stack::
 
     state/
       manifest.json        <- atomic JSON: state machine + model pointers
@@ -14,13 +16,11 @@ front door that turns a directory back into a running stack::
       models/<name>/...    <- versioned model bundles (pointer-swapped)
 
 **First boot** (:meth:`ServiceRecovery.create`) saves the model bundle,
-writes the manifest, opens a fresh journal, and returns a
-:class:`RecoveredStack` whose :class:`~repro.serving.service
-.PredictionService`, :class:`~repro.evaluation.drift.DriftMonitor` and
-:class:`DurableLifecycleManager` persist every durable event as a side
-effect of normal operation — outcomes via the journal, drift state via
-periodic snapshots, lifecycle transitions and model promotions via
-atomic manifest replacement.
+opens a fresh journal, installs the bundle pointer on the manager and
+publishes the manifest.  The returned :class:`RecoveredStack` persists
+every durable event as a side effect of normal operation — outcomes via
+the journal, drift state via periodic snapshots, lifecycle transitions
+and model promotions via atomic manifest replacement.
 
 **After a crash** (:meth:`ServiceRecovery.recover`) the same directory
 rebuilds the stack: the manifest names the bundles to load, the journal
@@ -31,42 +31,37 @@ feeds exactly the journal suffix past the snapshot cursor — leaving the
 EWMA, Page–Hinkley statistic and unseen-signature window *identical* to
 a process that never died.  A crash mid-retrain recovers in
 ``retraining`` and the next ``retrain()`` resumes bitwise from its
-cycle's checkpoints.
-
-**Model durability** uses versioned bundle directories plus manifest
-pointer swap: a promotion first saves the candidate's bundle to a fresh
-``models/<name>/cycle-NNN`` directory, then swaps the live session, then
-atomically republishes the manifest pointing at the new bundle — a crash
-between any two steps leaves the previous pointer valid, so recovery
-always loads a complete bundle (promotion durability is
-last-manifest-wins by design).
+cycle's checkpoints.  The manifest is a trust boundary: a missing,
+unverifiable or malformed one raises
+:class:`~repro.serving.resilience.RecoveryError` and nothing else.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from repro.core.bundle import save_bundle
-from repro.core.checkpoint import (
-    CheckpointError,
-    atomic_write_json,
-    load_verified_json,
-)
+from repro.core.checkpoint import CheckpointError, load_verified_json
 from repro.core.model import QPPNet
 from repro.evaluation.drift import DriftMonitor, DriftThresholds
 
 from .journal import OutcomeJournal, ReplayResult
-from .lifecycle import LifecycleConfig, LifecycleManager
+from .lifecycle import (
+    DRIFT_SNAPSHOT_NAME,
+    MANIFEST_FORMAT_VERSION,
+    MANIFEST_NAME,
+    LifecycleConfig,
+    LifecycleManager,
+    bundle_path,
+)
 from .registry import ModelRegistry
 from .resilience import LifecycleState, RecoveryError
 from .service import OUTCOME_LOG_SIZE, OutcomeLog, PredictionService
 
 __all__ = [
-    "DurableLifecycleManager",
     "RecoveredStack",
     "RecoveryReport",
     "ServiceRecovery",
@@ -74,33 +69,7 @@ __all__ = [
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-MANIFEST_NAME = "manifest.json"
-DRIFT_SNAPSHOT_NAME = "drift.json"
 JOURNAL_DIRNAME = "journal"
-CHECKPOINTS_DIRNAME = "checkpoints"
-MODELS_DIRNAME = "models"
-
-#: Bump when the manifest payload changes incompatibly.
-MANIFEST_FORMAT_VERSION = 1
-
-#: LifecycleConfig fields persisted in (and restored from) the manifest
-#: — the ones that shape retraining, so a recovered manager resumes an
-#: interrupted fine-tune with identical hyperparameters.
-_PERSISTED_CONFIG_FIELDS = (
-    "fine_tune_epochs",
-    "fine_tune_lr",
-    "fine_tune_batch_size",
-    "checkpoint_every",
-    "min_retrain_outcomes",
-    "max_retrain_outcomes",
-    "shadow_min_outcomes",
-    "promote_margin",
-    "stabilize_outcomes",
-    "poll_interval_s",
-    "cooldown_s",
-    "shadow_log_size",
-    "drift_snapshot_every",
-)
 
 #: How a persisted lifecycle state maps onto the state a *restarted*
 #: process can actually be in.  ``shadow`` falls back to ``retraining``
@@ -117,119 +86,9 @@ _RESTART_STATE_MAP = {
     LifecycleState.DEMOTED: LifecycleState.LIVE,
 }
 
-
-class DurableLifecycleManager(LifecycleManager):
-    """A :class:`LifecycleManager` that persists its durable events.
-
-    Every state-machine transition atomically republishes the manifest
-    (so a restarted process knows where the dead one was), and a
-    promotion first saves the candidate's bundle to a fresh versioned
-    directory so the manifest's model pointer only ever names complete
-    bundles.  Manifest-write failures are swallowed into
-    ``manifest_errors`` — a sick disk degrades durability, never the
-    state machine.
-    """
-
-    def __init__(
-        self,
-        service: PredictionService,
-        monitor: DriftMonitor,
-        config: LifecycleConfig,
-        *,
-        model: Optional[str] = None,
-        state_dir: PathLike,
-        bundles: Optional[dict] = None,
-    ) -> None:
-        super().__init__(service, monitor, config, model=model)
-        self.state_dir = Path(state_dir)
-        self.manifest_path = self.state_dir / MANIFEST_NAME
-        #: model name -> bundle directory, relative to ``state_dir``.
-        self._bundles: dict[str, str] = dict(bundles or {})
-        self._prev_bundle: Optional[str] = None
-        #: Swallowed manifest-write failures.
-        self.manifest_errors = 0
-
-    # -- persistence ----------------------------------------------------
-    def _manifest_payload(self) -> dict:
-        # Caller holds self._lock.
-        cfg = self.config
-        return {
-            "format": MANIFEST_FORMAT_VERSION,
-            "model_name": self.model_name,
-            "state": self._state,
-            "cycle": self._cycle,
-            "models": dict(self._bundles),
-            "checkpoint_dir": CHECKPOINTS_DIRNAME,
-            "journal_dir": JOURNAL_DIRNAME,
-            "drift_snapshot": DRIFT_SNAPSHOT_NAME,
-            "drift": {
-                "baseline_rel_error": self.monitor.baseline_rel_error,
-                "thresholds": dataclasses.asdict(self.monitor.thresholds),
-                "known_signatures": sorted(self.monitor.known_signatures),
-            },
-            "lifecycle": {
-                name: getattr(cfg, name) for name in _PERSISTED_CONFIG_FIELDS
-            },
-        }
-
-    def persist_manifest(self) -> bool:
-        """Atomically republish the manifest now; ``True`` on success."""
-        with self._lock:
-            payload = self._manifest_payload()
-            try:
-                atomic_write_json(self.manifest_path, payload)
-            except Exception:
-                self.manifest_errors += 1
-                return False
-            return True
-
-    def _transition(self, new: str, detail: str = "") -> None:
-        super()._transition(new, detail)
-        self.persist_manifest()
-
-    # -- durable promotion ----------------------------------------------
-    def _next_bundle_dir(self) -> Path:
-        # Caller holds self._lock; versioned by the cycle being promoted.
-        return (
-            Path(MODELS_DIRNAME)
-            / self.model_name
-            / f"cycle-{self._cycle + 1:03d}"
-        )
-
-    def promote(self, force: bool = False):
-        """Durable promotion: bundle first, swap second, pointer third.
-
-        The candidate's bundle lands on disk *before* the registry swap
-        and the manifest pointer moves only after the swap succeeds, so
-        every crash window leaves the manifest naming a complete bundle:
-        before the swap → the old model recovers; after the swap but
-        before the pointer write → the old pointer recovers (the
-        promotion was not yet durable, which is the documented
-        lost-by-design window).
-        """
-        with self._lock:
-            new_dir: Optional[Path] = None
-            candidate = self._candidate
-            if candidate is not None and getattr(candidate, "model", None) is not None:
-                new_dir = self._next_bundle_dir()
-                save_bundle(candidate.model, self.state_dir / new_dir)
-            retired = super().promote(force=force)
-            if new_dir is not None:
-                self._prev_bundle = self._bundles.get(self.model_name)
-                self._bundles[self.model_name] = str(new_dir)
-                self.persist_manifest()
-            return retired
-
-    def demote(self) -> None:
-        with self._lock:
-            rolling_back = self._state == LifecycleState.PROMOTED
-            super().demote()
-            if rolling_back and self._prev_bundle is not None:
-                # The promotion's pointer move is undone: the previous
-                # bundle (still on disk) serves again.
-                self._bundles[self.model_name] = self._prev_bundle
-                self._prev_bundle = None
-                self.persist_manifest()
+#: Exceptions that decoding a digest-valid but malformed manifest or
+#: snapshot raises (missing keys, wrong types, out-of-range values).
+_DECODE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
 
 
 @dataclass(frozen=True)
@@ -238,9 +97,9 @@ class RecoveryReport:
 
     The damage counters mirror :class:`~repro.serving.journal
     .ReplayResult`; ``snapshot_used`` is ``False`` when the drift
-    snapshot was missing or failed verification (the monitor was then
-    rebuilt cold from the manifest baseline and the *whole* journal
-    replayed through it).
+    snapshot was missing, failed verification or held bad contents such
+    as a negative cursor (the monitor was then rebuilt cold from the
+    manifest baseline and the *whole* journal replayed through it).
     """
 
     #: Records decoded from the on-disk journal.
@@ -269,7 +128,7 @@ class RecoveredStack:
 
     service: PredictionService
     monitor: DriftMonitor
-    manager: DurableLifecycleManager
+    manager: LifecycleManager
     journal: OutcomeJournal
     state_dir: Path
     #: ``None`` on first boot; the replay/restore evidence on recovery.
@@ -314,7 +173,7 @@ class ServiceRecovery:
         starts the service/manager)."""
         state_dir = Path(state_dir)
         state_dir.mkdir(parents=True, exist_ok=True)
-        bundle_rel = Path(MODELS_DIRNAME) / model_name / "cycle-000"
+        bundle_rel = bundle_path(model_name, 0)
         save_bundle(model, state_dir / bundle_rel)
 
         journal = OutcomeJournal(
@@ -337,19 +196,9 @@ class ServiceRecovery:
             thresholds=thresholds,
             known_signatures=known_signatures,
         )
-        config = LifecycleConfig(
-            checkpoint_dir=state_dir / CHECKPOINTS_DIRNAME,
-            drift_snapshot_path=state_dir / DRIFT_SNAPSHOT_NAME,
-            **lifecycle_kwargs,
-        )
-        manager = DurableLifecycleManager(
-            service,
-            monitor,
-            config,
-            model=model_name,
-            state_dir=state_dir,
-            bundles={model_name: str(bundle_rel)},
-        )
+        config = LifecycleConfig(state_dir=state_dir, **lifecycle_kwargs)
+        manager = LifecycleManager(service, monitor, config, model=model_name)
+        manager.restore_progress(models={model_name: bundle_rel})
         if not manager.persist_manifest():
             raise RecoveryError(
                 f"could not publish the initial manifest under {state_dir}"
@@ -376,9 +225,10 @@ class ServiceRecovery:
         """Rebuild the stack from a state directory after a crash.
 
         Raises :class:`~repro.serving.resilience.RecoveryError` only for
-        unrecoverable damage (missing/corrupt manifest, unloadable model
-        bundle).  Journal and snapshot damage degrade to the typed
-        counters on the attached :class:`RecoveryReport`.
+        unrecoverable damage (missing, unverifiable or malformed
+        manifest, unloadable model bundle).  Journal and snapshot damage
+        degrade to the typed counters on the attached
+        :class:`RecoveryReport`.
 
         ``lifecycle_overrides`` overlay the persisted lifecycle config
         (use them for non-JSON seams like ``epoch_hook``); leave the
@@ -396,14 +246,68 @@ class ServiceRecovery:
             raise RecoveryError(
                 f"manifest at {manifest_path} failed verification: {error}"
             ) from error
-        if manifest.get("format") != MANIFEST_FORMAT_VERSION:
+        except OSError as error:
             raise RecoveryError(
-                f"unsupported manifest format {manifest.get('format')!r}"
+                f"could not read the manifest at {manifest_path}: {error}"
+            ) from error
+        version = manifest.get("format") if isinstance(manifest, dict) else None
+        if version != MANIFEST_FORMAT_VERSION:
+            raise RecoveryError(f"unsupported manifest format {version!r}")
+        try:
+            model_name = manifest["model_name"]
+            models = manifest["models"]
+            if not all(isinstance(rel, str) for rel in models.values()):
+                raise TypeError("'models' must map model names to bundle paths")
+            if model_name not in models:
+                raise KeyError(f"no bundle for model {model_name!r}")
+            manifest_state = manifest["state"]
+            restored_state = _RESTART_STATE_MAP[manifest_state]
+            cycle = int(manifest["cycle"])
+            if cycle < 0:
+                raise ValueError(f"negative cycle {cycle}")
+            if manifest_state == LifecycleState.PROMOTED:
+                # The restart settles the promotion: the pointer already
+                # names the promoted bundle, so its cycle is complete and
+                # the next one must not reuse its checkpoints or bundle.
+                cycle += 1
+            config = LifecycleConfig(
+                state_dir=state_dir, **dict(manifest.get("lifecycle", {}))
             )
-        model_name = manifest["model_name"]
+        except _DECODE_ERRORS as error:
+            raise RecoveryError(
+                f"manifest at {manifest_path} is malformed: {error!r}"
+            ) from error
+        config = replace(config, **lifecycle_overrides)
+
+        snapshot_used = False
+        try:
+            snapshot = load_verified_json(state_dir / DRIFT_SNAPSHOT_NAME)
+            cursor = int(snapshot["cursor"])
+            lost = int(snapshot.get("outcomes_lost", 0))
+            if cursor < 0 or lost < 0:
+                raise ValueError("negative snapshot counters")
+            monitor = DriftMonitor.from_state_dict(snapshot["monitor"])
+            snapshot_used = True
+        except (OSError, CheckpointError) + _DECODE_ERRORS:
+            # Missing or damaged snapshot: rebuild the monitor cold from
+            # the manifest's frozen baseline and replay the whole
+            # journal through it (cursor 0).  Slower, never wrong.
+            cursor = lost = 0
+            try:
+                drift = manifest["drift"]
+                monitor = DriftMonitor(
+                    float(drift["baseline_rel_error"]),
+                    thresholds=DriftThresholds(**drift["thresholds"]),
+                    known_signatures=drift.get("known_signatures", ()),
+                )
+            except _DECODE_ERRORS as error:
+                raise RecoveryError(
+                    f"no usable drift snapshot and the manifest at "
+                    f"{manifest_path} has no valid drift baseline: {error!r}"
+                ) from error
 
         registry = ModelRegistry()
-        for name, rel in manifest["models"].items():
+        for name, rel in models.items():
             bundle_dir = state_dir / rel
             try:
                 registry.load(name, bundle_dir)
@@ -414,7 +318,7 @@ class ServiceRecovery:
                 ) from error
 
         journal = OutcomeJournal(
-            state_dir / manifest.get("journal_dir", JOURNAL_DIRNAME),
+            state_dir / JOURNAL_DIRNAME,
             segment_max_bytes=segment_max_bytes,
             fsync_every=fsync_every,
             fsync_fn=fsync_fn,
@@ -429,54 +333,13 @@ class ServiceRecovery:
             outcomes=log,
             **(service_kwargs or {}),
         )
-
-        snapshot_path = state_dir / manifest.get("drift_snapshot", DRIFT_SNAPSHOT_NAME)
-        monitor: Optional[DriftMonitor] = None
-        snapshot_used = False
-        cursor = 0
-        lost = 0
-        try:
-            snapshot = load_verified_json(snapshot_path)
-            monitor = DriftMonitor.from_state_dict(snapshot["monitor"])
-            cursor = int(snapshot["cursor"])
-            lost = int(snapshot.get("outcomes_lost", 0))
-            snapshot_used = True
-        except (FileNotFoundError, CheckpointError, KeyError, ValueError, TypeError):
-            # Missing or damaged snapshot: rebuild the monitor cold from
-            # the manifest's frozen baseline and replay the whole
-            # journal through it (cursor 0).  Slower, never wrong.
-            drift = manifest["drift"]
-            monitor = DriftMonitor(
-                float(drift["baseline_rel_error"]),
-                thresholds=DriftThresholds(**drift["thresholds"]),
-                known_signatures=drift.get("known_signatures", ()),
-            )
-
-        config_fields = dict(manifest.get("lifecycle", {}))
-        config_fields.update(lifecycle_overrides)
-        config = LifecycleConfig(
-            checkpoint_dir=state_dir
-            / manifest.get("checkpoint_dir", CHECKPOINTS_DIRNAME),
-            drift_snapshot_path=snapshot_path,
-            **config_fields,
-        )
-        manager = DurableLifecycleManager(
-            service,
-            monitor,
-            config,
-            model=model_name,
-            state_dir=state_dir,
-            bundles=dict(manifest["models"]),
-        )
-        manifest_state = manifest["state"]
-        restored_state = _RESTART_STATE_MAP.get(manifest_state)
-        if restored_state is None:
-            raise RecoveryError(f"manifest names unknown state {manifest_state!r}")
+        manager = LifecycleManager(service, monitor, config, model=model_name)
         manager.restore_progress(
             state=restored_state,
-            cycle=int(manifest["cycle"]),
+            cycle=cycle,
             cursor=cursor,
             outcomes_lost=lost,
+            models=models,
         )
         # Feed the journal suffix past the snapshot cursor through the
         # restored detectors: after this poll the drift state is

@@ -167,9 +167,10 @@ class RecoveryError(ServiceError):
     """A cold restart could not rebuild the serving stack.
 
     Raised by :class:`~repro.serving.recovery.ServiceRecovery` when the
-    state directory's manifest is missing, unverifiable, or names model
-    bundles that cannot be loaded.  Journal/snapshot damage never raises
-    — it degrades to the typed counters on the recovery report."""
+    state directory's manifest is missing, unverifiable or malformed, or
+    names model bundles that cannot be loaded.  Journal/snapshot damage
+    never raises — it degrades to the typed counters on the recovery
+    report."""
 
 
 class LifecycleError(ServiceError):

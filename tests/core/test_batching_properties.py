@@ -220,3 +220,35 @@ class TestPlanGraphDepth:
         graph = PlanGraph("chain", types, children, postorder)
         assert graph.depth_of(0) == n
         assert graph.depth_of(n - 1) == 1
+
+
+class TestBufferPool:
+    def test_reuses_backing_allocation(self):
+        pool = BufferPool()
+        a = pool.take("x", (8, 4))
+        a[:] = 7.0
+        b = pool.take("x", (6, 4))
+        assert b.base is a.base or b.base is a  # same backing array
+        c = pool.take("x", (16, 4))  # must grow
+        assert c.shape == (16, 4)
+
+    def test_width_change_reallocates(self):
+        pool = BufferPool()
+        a = pool.take("x", (4, 4))
+        b = pool.take("x", (4, 5))
+        assert b.shape == (4, 5)
+        assert a.shape == (4, 4)
+
+    def test_lru_bound(self):
+        pool = BufferPool(max_entries=2)
+        pool.take("a", (2, 2))
+        pool.take("b", (2, 2))
+        pool.take("a", (2, 2))  # refresh a
+        pool.take("c", (2, 2))  # evicts b (least recently used)
+        assert len(pool) == 2
+        held = pool.take("a", (2, 2))
+        assert pool.take("a", (2, 2)).base is held.base  # "a" survived eviction
+
+    def test_invalid_max_entries(self):
+        with pytest.raises(ValueError):
+            BufferPool(max_entries=0)

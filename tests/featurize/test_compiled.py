@@ -1,10 +1,9 @@
 """Compiled featurization tier: FeatureProgram / FeatureProgramCache /
 FeatureVectorCache.
 
-The aligned-vs-scalar bitwise sync contract (``test_aligned.py``)
-extends to this tier: a compiled program's rows must equal
-``transform_node`` bit for bit in float64 and equal ``transform_aligned``
-bit for bit in float32, including unknown one-hot categories and
+A compiled program's rows must equal the scalar oracle
+``transform_node`` bit for bit in float64, and within float32 rounding
+in float32, including unknown one-hot categories and
 ``extra_numeric_fn`` columns.  The plan-identity digest must distinguish
 every plan the programs would featurize differently, and the
 feature-vector cache must behave as a bounded LRU whose hits are
@@ -60,14 +59,17 @@ class TestFeatureProgram:
                 checked += 1
         assert checked > 100  # a real mixed corpus, not a trivial one
 
-    def test_float32_bitwise_equal_to_aligned(self, fitted):
+    def test_float32_matches_scalar_path(self, fitted):
+        """float32 rows stay within float32 rounding of the float64
+        scalar oracle.  An absolute bound, not ulps: whitened values
+        near zero can flip sign under rounding."""
         featurizer, corpus = fitted
         programs = featurizer.compiled()
         for ltype, nodes in _nodes_by_type(corpus).items():
             compiled32 = programs.program(ltype).run(nodes, dtype=np.float32)
             assert compiled32.dtype == np.float32
-            aligned32 = featurizer.transform_aligned(nodes, dtype=np.float32)
-            assert np.array_equal(compiled32, aligned32)
+            scalar = np.stack([featurizer.transform_node(node) for node in nodes])
+            np.testing.assert_allclose(compiled32, scalar, rtol=0, atol=1e-5)
 
     def test_unknown_onehot_category_matches_scalar(self, fitted):
         featurizer, corpus = fitted

@@ -356,7 +356,7 @@ class TestStateMachine:
         registry.register("qpp-b", model)  # 2 models: no implied default
         service = PredictionService(registry, default_model=None)
         monitor = make_monitor(0.3)
-        config = LifecycleConfig(checkpoint_dir=tmp_path)
+        config = LifecycleConfig(state_dir=tmp_path)
         with pytest.raises(LifecycleError, match="no model name"):
             LifecycleManager(service, monitor, config)
         with pytest.raises(LifecycleError, match="not registered"):
@@ -365,7 +365,7 @@ class TestStateMachine:
     def test_stage_methods_guard_state(self, model, tmp_path):
         service, _ = make_service(model)
         manager = LifecycleManager(
-            service, make_monitor(0.3), LifecycleConfig(checkpoint_dir=tmp_path)
+            service, make_monitor(0.3), LifecycleConfig(state_dir=tmp_path)
         )
         assert manager.state == LifecycleState.LIVE
         with pytest.raises(LifecycleError, match="retrained candidate"):
@@ -382,7 +382,7 @@ class TestStateMachine:
         manager = LifecycleManager(
             service,
             make_monitor(0.3),
-            LifecycleConfig(checkpoint_dir=tmp_path, min_retrain_outcomes=8),
+            LifecycleConfig(state_dir=tmp_path, min_retrain_outcomes=8),
         )
         with pytest.raises(LifecycleError, match="analyzed outcomes"):
             manager.retrain()
@@ -397,7 +397,7 @@ class TestStateMachine:
         manager = LifecycleManager(
             service,
             make_monitor(0.3),
-            LifecycleConfig(checkpoint_dir=tmp_path, poll_interval_s=0.001),
+            LifecycleConfig(state_dir=tmp_path, poll_interval_s=0.001),
         )
         calls = []
 
@@ -421,13 +421,39 @@ class TestStateMachine:
         assert str(manager.errors[-1]) == f"injected step failure {total}"
         assert manager.state == LifecycleState.LIVE
 
+    def test_events_are_bounded_and_counted(self, model, tmp_path):
+        """``events`` keeps only the newest MAX_KEPT_EVENTS entries,
+        ``event_count`` counts them all."""
+        service, _ = make_service(model)
+        manager = LifecycleManager(
+            service, make_monitor(0.3), LifecycleConfig(state_dir=tmp_path)
+        )
+        bound = LifecycleManager.MAX_KEPT_EVENTS
+        for _ in range(bound + 10):
+            manager.restore_progress(state=LifecycleState.LIVE)
+        assert len(manager.events) == bound
+        assert manager.event_count == bound + 10
+        assert manager.events[-1] == (
+            LifecycleState.LIVE,
+            "restored from durable state",
+        )
+
+    @pytest.mark.parametrize("field", ["cycle", "cursor", "outcomes_lost"])
+    def test_restore_progress_rejects_negative_counters(self, model, tmp_path, field):
+        service, _ = make_service(model)
+        manager = LifecycleManager(
+            service, make_monitor(0.3), LifecycleConfig(state_dir=tmp_path)
+        )
+        with pytest.raises(LifecycleError, match=field):
+            manager.restore_progress(**{field: -1})
+
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
-            LifecycleConfig(checkpoint_dir=tmp_path, fine_tune_epochs=0)
+            LifecycleConfig(state_dir=tmp_path, fine_tune_epochs=0)
         with pytest.raises(ValueError):
-            LifecycleConfig(checkpoint_dir=tmp_path, promote_margin=0.0)
+            LifecycleConfig(state_dir=tmp_path, promote_margin=0.0)
         with pytest.raises(ValueError):
-            LifecycleConfig(checkpoint_dir=tmp_path, poll_interval_s=0.0)
+            LifecycleConfig(state_dir=tmp_path, poll_interval_s=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -444,7 +470,7 @@ class TestKillMidRetrain:
             serve_and_observe(service, drifted_samples(64, seed=9))
         monitor = make_monitor(baseline_rel_error)
         config = LifecycleConfig(
-            checkpoint_dir=tmp_path / "crashed",
+            state_dir=tmp_path / "crashed",
             fine_tune_epochs=6,
             min_retrain_outcomes=32,
             epoch_hook=kill_at_epoch(3),
@@ -459,7 +485,7 @@ class TestKillMidRetrain:
         with pytest.raises(SimulatedCrash):
             manager.retrain()
         assert manager.state == LifecycleState.RETRAINING
-        assert (tmp_path / "crashed" / "cycle-001").is_dir()
+        assert (tmp_path / "crashed" / "checkpoints" / "cycle-001").is_dir()
 
         # Same-manager resume, hook disarmed.
         manager.config.epoch_hook = None
@@ -475,7 +501,7 @@ class TestKillMidRetrain:
         # Fresh-manager resume over the same checkpoint dir + journal
         # (the "process died and restarted" shape).
         crashed_cfg = LifecycleConfig(
-            checkpoint_dir=tmp_path / "fresh",
+            state_dir=tmp_path / "fresh",
             fine_tune_epochs=6,
             min_retrain_outcomes=32,
             epoch_hook=kill_at_epoch(2),
@@ -484,7 +510,7 @@ class TestKillMidRetrain:
         with pytest.raises(SimulatedCrash):
             crashed.retrain()
         resumed_cfg = LifecycleConfig(
-            checkpoint_dir=tmp_path / "fresh",
+            state_dir=tmp_path / "fresh",
             fine_tune_epochs=6,
             min_retrain_outcomes=32,
         )
@@ -513,7 +539,7 @@ class TestKillMidRetrain:
             serve_and_observe(service, samples)
             monitor = make_monitor(baseline_rel_error)
             config = LifecycleConfig(
-                checkpoint_dir=tmp_path,
+                state_dir=tmp_path,
                 fine_tune_epochs=6,
                 min_retrain_outcomes=32,
                 poll_interval_s=0.01,
@@ -549,7 +575,7 @@ class TestEndToEndDrill:
         # trigger must come from the error detectors deterministically.
         monitor = make_monitor(baseline_rel_error, plans, unseen_rate=1.01)
         config = LifecycleConfig(
-            checkpoint_dir=tmp_path,
+            state_dir=tmp_path,
             fine_tune_epochs=8,
             min_retrain_outcomes=48,
             shadow_min_outcomes=24,
@@ -645,7 +671,7 @@ class TestEndToEndDrill:
         original = registry.session("qpp")
         monitor = make_monitor(baseline_rel_error, plans, unseen_rate=1.01)
         config = LifecycleConfig(
-            checkpoint_dir=tmp_path,
+            state_dir=tmp_path,
             fine_tune_epochs=1,  # deliberately under-trained candidate
             min_retrain_outcomes=32,
             shadow_min_outcomes=8,
@@ -671,6 +697,34 @@ class TestEndToEndDrill:
             assert manager.state == LifecycleState.DEMOTED
         assert service.stats().failed == 0
 
+    def test_manager_without_bundle_pointer_writes_only_checkpoints(
+        self, model, baseline_rel_error, tmp_path
+    ):
+        """A full retrain→shadow→promote cycle on a manager that holds no
+        bundle pointer: nothing recoverable to publish, so the state
+        directory ends up holding fine-tune checkpoints and nothing else."""
+        service, _ = make_service(model)
+        config = LifecycleConfig(
+            state_dir=tmp_path,
+            fine_tune_epochs=1,
+            min_retrain_outcomes=32,
+            drift_snapshot_every=1,
+        )
+        with service:
+            monitor = make_monitor(baseline_rel_error)
+            manager = LifecycleManager(service, monitor, config)
+            serve_and_observe(service, drifted_samples(48, seed=9))
+            manager.poll()
+            manager.retrain()
+            manager.deploy_shadow()
+            manager.promote(force=True)
+            assert manager.state == LifecycleState.PROMOTED
+        assert not manager.persist_manifest()
+        assert not manager.snapshot_drift()
+        assert manager.manifest_errors == manager.snapshot_errors == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoints"]
+        assert (tmp_path / "checkpoints" / "cycle-001").is_dir()
+
     def test_shadow_demotion_restores_primary(
         self, model, plans, baseline_rel_error, tmp_path
     ):
@@ -678,7 +732,7 @@ class TestEndToEndDrill:
         original = registry.session("qpp")
         monitor = make_monitor(baseline_rel_error, plans)
         config = LifecycleConfig(
-            checkpoint_dir=tmp_path, fine_tune_epochs=1, min_retrain_outcomes=32
+            state_dir=tmp_path, fine_tune_epochs=1, min_retrain_outcomes=32
         )
         with service:
             manager = LifecycleManager(service, monitor, config)
@@ -703,7 +757,7 @@ class TestEndToEndDrill:
         service, _ = make_service(model)
         monitor = make_monitor(baseline_rel_error, plans)
         config = LifecycleConfig(
-            checkpoint_dir=tmp_path,
+            state_dir=tmp_path,
             fine_tune_epochs=4,
             min_retrain_outcomes=48,
             shadow_min_outcomes=16,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import QPPNet, QPPNetConfig, Trainer
-from repro.core.checkpoint import load_verified_json
+from repro.core.checkpoint import atomic_write_json, load_verified_json
 from repro.core.trainer import fine_tune
 from repro.evaluation.drift import DriftMonitor, DriftThresholds
 from repro.featurize import Featurizer
@@ -159,6 +159,110 @@ class TestCreateAndErrors:
             ServiceRecovery.recover(tmp_path)
 
 
+def _drop(key):
+    def mutate(manifest):
+        del manifest[key]
+
+    return mutate
+
+
+def _set(key, value):
+    def mutate(manifest):
+        manifest[key] = value
+
+    return mutate
+
+
+def _set_lifecycle(key, value):
+    def mutate(manifest):
+        manifest["lifecycle"][key] = value
+
+    return mutate
+
+
+def _models_as_list(manifest):
+    manifest["models"] = list(manifest["models"].items())
+
+
+# ----------------------------------------------------------------------
+# The manifest format: parent compatibility and malformed contents
+# ----------------------------------------------------------------------
+class TestManifestFormat:
+    def test_fresh_manifest_recovers(self, tmp_path, model, plans, baseline_rel_error):
+        """The manifest a fresh stack publishes carries only the keys
+        recovery reads, and recovers as is."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+        stack.journal.close()
+        manifest = load_verified_json(tmp_path / MANIFEST_NAME)
+        assert set(manifest) == {
+            "format", "model_name", "state", "cycle", "models", "drift", "lifecycle",
+        }
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.state == LifecycleState.LIVE
+        assert recovered.service.registry.names() == ["qpp"]
+        recovered.journal.close()
+
+    def test_parent_format_manifest_recovers(
+        self, tmp_path, model, corpus, plans, baseline_rel_error
+    ):
+        """Manifests that also name the layout's fixed paths (the
+        earlier payload) still recover: the extra keys are ignored."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:20])
+        manifest = load_verified_json(tmp_path / MANIFEST_NAME)
+        manifest.update(
+            checkpoint_dir="checkpoints",
+            journal_dir="journal",
+            drift_snapshot="drift.json",
+        )
+        atomic_write_json(tmp_path / MANIFEST_NAME, manifest)
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.report.replayed_records == 20
+        assert recovered.manager.state == LifecycleState.LIVE
+        reference = reference_monitor(
+            plans, baseline_rel_error, stack.service.outcomes.snapshot()
+        )
+        assert recovered.monitor.state_dict() == reference.state_dict()
+        recovered.journal.close()
+        stack.journal.close()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _drop("model_name"),
+            _drop("cycle"),
+            _set_lifecycle("no_such_field", 1),
+            _set_lifecycle("fine_tune_epochs", 0),
+            _models_as_list,
+            _set("cycle", "abc"),
+            _drop("drift"),  # and no drift snapshot on disk yet
+        ],
+        ids=[
+            "no-model-name",
+            "no-cycle",
+            "unknown-lifecycle-key",
+            "zero-fine-tune-epochs",
+            "models-as-list",
+            "cycle-not-a-number",
+            "no-drift-no-snapshot",
+        ],
+    )
+    def test_malformed_manifest_raises_recovery_error(
+        self, tmp_path, model, plans, baseline_rel_error, mutate
+    ):
+        """A digest-valid manifest with bad contents is a typed
+        RecoveryError, never a bare builtin exception."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+        stack.journal.close()
+        manifest = load_verified_json(tmp_path / MANIFEST_NAME)
+        mutate(manifest)
+        atomic_write_json(tmp_path / MANIFEST_NAME, manifest)
+        assert not (tmp_path / DRIFT_SNAPSHOT_NAME).exists()
+        with pytest.raises(RecoveryError, match="malformed|drift baseline"):
+            ServiceRecovery.recover(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # Kill during observe: drift state identical to the uninterrupted run
 # ----------------------------------------------------------------------
@@ -233,6 +337,30 @@ class TestKillDuringObserve:
         flip_byte(tmp_path / DRIFT_SNAPSHOT_NAME, -10)
         recovered = ServiceRecovery.recover(tmp_path)
         assert not recovered.report.snapshot_used
+        reference = reference_monitor(
+            plans, baseline_rel_error, stack.service.outcomes.snapshot()
+        )
+        assert recovered.monitor.state_dict() == reference.state_dict()
+        recovered.journal.close()
+        stack.journal.close()
+
+    @pytest.mark.parametrize("field", ["cursor", "outcomes_lost"])
+    def test_negative_snapshot_counter_degrades_to_full_replay(
+        self, tmp_path, model, corpus, plans, baseline_rel_error, field
+    ):
+        """A digest-valid snapshot with a negative counter is damaged
+        like any other: cold monitor, whole journal replayed."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+        with stack.service:
+            serve_and_observe(stack.service, corpus[:48])
+            stack.manager.poll()
+        snapshot = load_verified_json(tmp_path / DRIFT_SNAPSHOT_NAME)
+        snapshot[field] = -1
+        atomic_write_json(tmp_path / DRIFT_SNAPSHOT_NAME, snapshot)
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert not recovered.report.snapshot_used
+        assert recovered.report.snapshot_cursor == 0
+        assert recovered.manager.outcomes_lost == 0
         reference = reference_monitor(
             plans, baseline_rel_error, stack.service.outcomes.snapshot()
         )
@@ -476,5 +604,37 @@ class TestLifecycleStateMapping:
         served = recovered.service.registry.model("qpp")
         for key, ref in sorted(model.state_dict().items()):
             assert np.array_equal(ref, served.state_dict()[key]), key
+        recovered.journal.close()
+        stack.journal.close()
+
+    @pytest.mark.parametrize("ending", ["promote", "reject"])
+    def test_restart_after_a_finished_cycle_starts_the_next(
+        self, tmp_path, model, plans, baseline_rel_error, ending
+    ):
+        """A crash right after a cycle ends (promoted, or rejected in
+        shadow) recovers with that cycle counted, so the next retrain
+        and promotion get fresh checkpoint and bundle directories
+        instead of reusing the finished cycle's."""
+        stack = make_stack(
+            tmp_path, model, plans, baseline_rel_error, fine_tune_epochs=1
+        )
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(48, seed=9))
+            stack.manager.poll()
+            stack.manager.retrain()
+            stack.manager.deploy_shadow()
+            if ending == "promote":
+                stack.manager.promote(force=True)
+            else:
+                stack.manager.demote()
+        recovered = ServiceRecovery.recover(tmp_path)
+        assert recovered.manager.state == LifecycleState.LIVE
+        assert recovered.manager.cycle == 1
+        recovered.manager.retrain()
+        assert (tmp_path / "checkpoints" / "cycle-002").is_dir()
+        recovered.manager.deploy_shadow()
+        recovered.manager.promote(force=True)
+        manifest = load_verified_json(tmp_path / MANIFEST_NAME)
+        assert manifest["models"]["qpp"] == "models/qpp/cycle-002"
         recovered.journal.close()
         stack.journal.close()

@@ -18,12 +18,7 @@ from .batching import (
     bucket_plans,
     PreGroupedCorpus,
     StructureGroup,
-    VectorizedPlan,
-    group_by_structure,
     plan_graph,
-    sample_batches,
-    vectorize_corpus,
-    vectorize_plan,
 )
 from .config import COMPUTE_DTYPES, TRAINING_ENGINES, TRAINING_MODES, QPPNetConfig
 from .levels import LevelPlan, LevelPlanCache, LevelRun, LevelStep
@@ -57,13 +52,8 @@ __all__ = [
     "PlanGraph",
     "PlanBucket",
     "bucket_plans",
-    "VectorizedPlan",
     "StructureGroup",
     "plan_graph",
-    "vectorize_plan",
-    "vectorize_corpus",
-    "group_by_structure",
-    "sample_batches",
     "BufferPool",
     "PreGroupedCorpus",
     "LevelPlan",

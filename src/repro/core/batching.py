@@ -5,10 +5,11 @@ together: position ``p`` of every plan in the group runs through the same
 neural unit, so the per-position feature vectors stack into matrices and
 one forward pass serves the whole group.
 
-``vectorize_corpus`` turns analyzed plans into :class:`VectorizedPlan`
-rows (features + per-operator labels, preorder-indexed);
-``group_by_structure`` partitions them into :class:`StructureGroup`
-equivalence classes, each with stacked feature/label matrices.
+:class:`PreGroupedCorpus` is the one source of training batches: it
+partitions a corpus into :class:`StructureGroup` equivalence classes once,
+draws a fresh random permutation per epoch, and row-gathers each batch's
+per-structure groups.  :func:`bucket_plans` is the serving-side
+counterpart for independently submitted plans.
 """
 
 from __future__ import annotations
@@ -70,36 +71,6 @@ def plan_graph(root: PlanNode) -> PlanGraph:
 
 
 @dataclass
-class VectorizedPlan:
-    """One analyzed plan, featurized: the unit inputs and labels."""
-
-    graph: PlanGraph
-    features: list[np.ndarray]  # per position, shape (f_type,)
-    labels: np.ndarray  # per position: actual latency / scale
-    latency_ms: float
-    template_id: str
-
-
-def vectorize_plan(sample: PlanSample, featurizer: Featurizer) -> VectorizedPlan:
-    graph = plan_graph(sample.plan)
-    features = featurizer.transform_plan(sample.plan)
-    scale = featurizer.latency_scale_ms
-    labels = np.array(
-        [
-            (node.actual_total_ms if node.actual_total_ms is not None else 0.0) / scale
-            for node in sample.plan.preorder()
-        ]
-    )
-    return VectorizedPlan(graph, features, labels, sample.latency_ms, sample.template_id)
-
-
-def vectorize_corpus(
-    samples: Sequence[PlanSample], featurizer: Featurizer
-) -> list[VectorizedPlan]:
-    return [vectorize_plan(s, featurizer) for s in samples]
-
-
-@dataclass
 class StructureGroup:
     """An equivalence class of structure-identical plans, stacked.
 
@@ -145,10 +116,10 @@ def bucket_plans(plans: Sequence[PlanNode]) -> list[PlanBucket]:
     """Compose independently submitted plans into per-structure buckets.
 
     The returned buckets are in canonical sorted-by-signature order — the
-    same order :func:`group_by_structure` and :class:`PreGroupedCorpus`
-    produce — so serving and training resolve to the *same* cached
-    cross-structure level plan for the same structure mix, no matter how
-    the requests arrived.  Within a bucket, members keep arrival order.
+    same order :meth:`PreGroupedCorpus.gather` produces — so serving and
+    training resolve to the *same* cached cross-structure level plan for
+    the same structure mix, no matter how the requests arrived.  Within a
+    bucket, members keep arrival order.
     """
     buckets: dict[str, PlanBucket] = {}
     for index, plan in enumerate(plans):
@@ -226,46 +197,6 @@ class BufferPool:
         self._buffers.clear()
 
 
-def _stack_rows(
-    rows: list[np.ndarray], pool: Optional[BufferPool], key: object
-) -> np.ndarray:
-    width = rows[0].shape[-1]
-    if pool is None:
-        return np.vstack(rows)
-    # The pool's default dtype decides the stacked precision: float64
-    # per-plan rows written into a float32 pool cast on write, so the
-    # batch matrices come out in the model's compute dtype directly.
-    out = pool.take(key, (len(rows), width))
-    for i, row in enumerate(rows):
-        out[i] = row
-    return out
-
-
-def group_by_structure(
-    plans: Sequence[VectorizedPlan], pool: Optional[BufferPool] = None
-) -> list[StructureGroup]:
-    """Partition into equivalence classes c1..cn (paper §5.1.1).
-
-    With a :class:`BufferPool`, the stacked feature/label matrices are
-    written into reused buffers instead of fresh ``np.vstack`` output —
-    the per-batch steady state of training and serving allocates nothing.
-    """
-    buckets: dict[str, list[VectorizedPlan]] = {}
-    for plan in plans:
-        buckets.setdefault(plan.graph.signature, []).append(plan)
-    groups = []
-    for signature in sorted(buckets):
-        members = buckets[signature]
-        graph = members[0].graph
-        features = [
-            _stack_rows([m.features[p] for m in members], pool, (signature, p))
-            for p in range(graph.n_nodes)
-        ]
-        labels = _stack_rows([m.labels for m in members], pool, (signature, "labels"))
-        groups.append(StructureGroup(graph, features, labels))
-    return groups
-
-
 def _gather_rows(
     src: np.ndarray, rows: np.ndarray, pool: Optional[BufferPool], key: object
 ) -> np.ndarray:
@@ -280,59 +211,28 @@ def _gather_rows(
 
 
 class PreGroupedCorpus:
-    """Epoch-level pre-grouping of a fixed training corpus.
+    """Epoch-level pre-grouping of a fixed training corpus — the one
+    source of training batches for both engines and all four §5.1 modes.
 
-    ``group_by_structure`` re-buckets the batch and re-stacks Python lists
-    of per-plan rows on *every* batch, even though group membership never
-    changes across a training run.  This grouping is done once here: the
-    corpus is partitioned by structure signature up front and each group's
-    feature/label matrices are pre-stacked at full corpus size.  A random
-    batch is then materialized by **row-gather** — one fancy-index numpy
-    op per ``(group, position)`` into pooled buffers — instead of
-    hundreds of per-row copies.
+    Group membership never changes across a training run, so the corpus
+    is partitioned by structure signature once, up front, and each
+    group's feature/label matrices are pre-stacked at full corpus size.
+    A random batch is then materialized by **row-gather** — one
+    fancy-index numpy op per ``(group, position)``, optionally into
+    pooled buffers — instead of re-bucketing and re-stacking per-plan
+    rows on every batch.
 
     Sampling stays unbiased exactly as §5.1.1 requires: batches are
     uniform random subsets of the whole corpus (a fresh permutation per
-    epoch), and grouping happens *within* each batch.  Only the mechanics
-    of building the per-batch :class:`StructureGroup`\\ s changed.
+    epoch, :meth:`batch_indices`), and grouping happens *within* each
+    batch (:meth:`gather`).
 
     ``dtype`` is the precision the stacked matrices are stored in.
     Casting once at construction means every per-batch row-gather — and
     everything downstream of it: assembly, matmuls, loss — runs in the
-    compute dtype with no per-batch conversion.
+    compute dtype with no per-batch conversion.  Build one with
+    :meth:`from_samples`.
     """
-
-    def __init__(
-        self, plans: Sequence[VectorizedPlan], dtype: np.dtype = np.float64
-    ) -> None:
-        if not plans:
-            raise ValueError("PreGroupedCorpus requires at least one plan")
-        dtype = np.dtype(dtype)
-        self.dtype = dtype
-        buckets: dict[str, list[int]] = {}
-        for i, plan in enumerate(plans):
-            buckets.setdefault(plan.graph.signature, []).append(i)
-        self.n_plans = len(plans)
-        self.groups: list[StructureGroup] = []
-        # Global plan index -> (group id, row inside the group's matrices).
-        self._group_of = np.empty(self.n_plans, dtype=np.intp)
-        self._row_of = np.empty(self.n_plans, dtype=np.intp)
-        for gid, signature in enumerate(sorted(buckets)):
-            members = buckets[signature]
-            graph = plans[members[0]].graph
-            features = [
-                np.stack([plans[i].features[p] for i in members]).astype(
-                    dtype, copy=False
-                )
-                for p in range(graph.n_nodes)
-            ]
-            labels = np.stack([plans[i].labels for i in members]).astype(
-                dtype, copy=False
-            )
-            for row, i in enumerate(members):
-                self._group_of[i] = gid
-                self._row_of[i] = row
-            self.groups.append(StructureGroup(graph, features, labels))
 
     @classmethod
     def from_samples(
@@ -342,16 +242,19 @@ class PreGroupedCorpus:
         dtype: np.dtype = np.float64,
     ) -> "PreGroupedCorpus":
         """Pre-grouped corpus straight from raw samples, via the compiled
-        featurization tier — no intermediate :class:`VectorizedPlan`\\ s.
+        featurization tier.
 
-        Equivalent (bitwise, feature and label matrices alike) to
-        ``PreGroupedCorpus(vectorize_corpus(samples, featurizer), dtype)``
-        but featurizes each group through per-type
+        Row ``r`` of ``groups[g].features[p]`` equals
+        ``featurizer.transform_plan(plan)[p]`` for the group's ``r``-th
+        member in corpus order (bitwise in float64), but each group is
+        featurized through per-type
         :class:`~repro.featurize.compiled.FeatureProgram` runs — one
         vectorized pass per (structure, logical type) over the whole
         group instead of a per-node schema walk per plan.  Programs run
-        in float64 and the stacked blocks are cast once at the end,
-        matching the reference path's featurize-then-cast order exactly.
+        in float64 and the stacked blocks are cast once at the end, so a
+        float32 corpus holds exactly the float64 rows cast once.  Labels
+        are each node's actual latency over the featurizer's latency
+        scale, in preorder.
         """
         if not samples:
             raise ValueError("PreGroupedCorpus requires at least one plan")
@@ -408,9 +311,12 @@ class PreGroupedCorpus:
     ) -> list[StructureGroup]:
         """The batch of global plan ``indices`` as per-structure groups.
 
-        Equivalent to ``group_by_structure([plans[i] for i in indices])``
-        (same group order, same row order within each group), built by
-        row-gather from the pre-stacked matrices.
+        Groups come in canonical sorted-by-signature order (the order
+        :func:`bucket_plans` also produces); rows within a group keep the
+        order of ``indices``.  With a ``pool``, the gathered matrices are
+        written into buffers keyed by ``(signature, position)``, so a
+        pooled batch is only valid until the next pooled gather of the
+        same structures.
         """
         indices = np.asarray(indices, dtype=np.intp)
         gsel = self._group_of[indices]
@@ -427,35 +333,20 @@ class PreGroupedCorpus:
             out.append(StructureGroup(src.graph, features, labels))
         return out
 
-    def iter_batches(
-        self,
-        batch_size: int,
-        rng: np.random.Generator,
-        pool: Optional[BufferPool] = None,
-    ):
-        """Random batches covering the corpus once (cf. :func:`sample_batches`)."""
+    def batch_indices(
+        self, batch_size: int, rng: np.random.Generator
+    ) -> list[np.ndarray]:
+        """One epoch of random batches: consecutive ``batch_size`` slices
+        of a single fresh ``rng.permutation`` over the corpus.
+
+        Random sampling keeps the gradient estimate unbiased; grouping
+        happens *inside* each batch (the paper's key point: grouping the
+        whole corpus into per-structure batches would bias the gradient).
+        """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         order = rng.permutation(self.n_plans)
-        for start in range(0, self.n_plans, batch_size):
-            yield self.gather(order[start : start + batch_size], pool=pool)
-
-
-def sample_batches(
-    plans: Sequence[VectorizedPlan],
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list[list[VectorizedPlan]]:
-    """Simple random large batches (before in-batch structure grouping).
-
-    Random sampling keeps the gradient estimate unbiased; grouping happens
-    *inside* each batch (the paper's key point: grouping the whole corpus
-    into per-structure batches would bias the gradient).
-    """
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    order = rng.permutation(len(plans))
-    return [
-        [plans[i] for i in order[start : start + batch_size]]
-        for start in range(0, len(plans), batch_size)
-    ]
+        return [
+            order[start : start + batch_size]
+            for start in range(0, self.n_plans, batch_size)
+        ]

@@ -21,6 +21,15 @@ All modes optimize the same objective; they differ only in how much
 redundant computation the loss evaluation performs, which is exactly
 what Figure 9a measures.
 
+Batches
+-------
+Every mode and engine draws its batches from one epoch-level
+:class:`~repro.core.batching.PreGroupedCorpus`: the corpus is grouped by
+structure and featurized once, each epoch draws one random permutation,
+and each batch is row-gathered from the pre-stacked matrices.  The
+batched modes gather a batch as per-structure groups; the per-plan modes
+gather it as one single-plan group per member.
+
 Training engines
 ----------------
 Two execution engines implement the objective (``QPPNetConfig.engine``;
@@ -41,11 +50,11 @@ taped):
     depth, forward and backward, over raw numpy arrays with closed-form
     per-unit gradients.  The whole-batch loss degenerates to a single
     subtraction and dot product over the global output matrix's latency
-    column, and the backward seed is written in one shot.  Batches come
-    from an epoch-level :class:`~repro.core.batching.PreGroupedCorpus`
-    (grouped once, row-gathered per batch), gradients accumulate in
-    place into a :class:`~repro.nn.FlatParameterSpace`, and global-norm
-    clipping plus the optimizer update run fused over the flat buffers.
+    column, and the backward seed is written in one shot.  Every batch
+    is padded to the corpus's full structure list, gradients accumulate
+    in place into a :class:`~repro.nn.FlatParameterSpace`, and
+    global-norm clipping plus the optimizer update run fused over the
+    flat buffers.
 
 Both engines compute the same gradients (pinned to <= 1e-9 agreement by
 ``tests/core/test_compiled_training.py``); ``benchmarks/
@@ -67,15 +76,7 @@ from repro import nn
 from repro.nn import functional as F
 from repro.workload.generator import PlanSample
 
-from .batching import (
-    BufferPool,
-    PreGroupedCorpus,
-    StructureGroup,
-    VectorizedPlan,
-    group_by_structure,
-    sample_batches,
-    vectorize_corpus,
-)
+from .batching import BufferPool, PreGroupedCorpus, StructureGroup
 from .checkpoint import latest_valid_checkpoint, save_checkpoint
 from .config import QPPNetConfig
 from .model import QPPNet
@@ -98,18 +99,6 @@ class TrainingHistory:
     @property
     def final_loss(self) -> float:
         return self.train_loss[-1] if self.train_loss else float("nan")
-
-
-def _singleton(plan: VectorizedPlan, dtype: np.dtype) -> StructureGroup:
-    # Cast to the compute dtype here (a no-copy pass-through for the
-    # float64 default): per-plan ablation modes bypass the stacking pool
-    # that casts for the batched modes, and a float32 model must not
-    # silently promote its taped forward back to float64.
-    return StructureGroup(
-        plan.graph,
-        [np.asarray(f, dtype=dtype).reshape(1, -1) for f in plan.features],
-        np.asarray(plan.labels, dtype=dtype).reshape(1, -1),
-    )
 
 
 def _corpus_group_padder(pre_grouped: PreGroupedCorpus):
@@ -153,13 +142,11 @@ class Trainer:
             lr=self.config.lr,
             momentum=self.config.momentum,
         )
-        # Feature/label stacking buffers, reused batch to batch (safe:
-        # each batch's graph is consumed by backward() before the next
-        # batch is assembled).  Capped so corpora with very many distinct
+        # Row-gather buffers for per-structure batches, reused batch to
+        # batch (safe: each batch is consumed by backward() before the
+        # next is gathered).  Capped so corpora with very many distinct
         # structures do not pin one buffer per (signature, position).
-        # Allocated in the compute dtype: float64 per-plan rows cast on
-        # write, so batch matrices enter the engines in-model precision.
-        self._stack_pool = BufferPool(max_entries=4096, dtype=self.config.np_dtype)
+        self._stack_pool = BufferPool(max_entries=4096)
         # Flat parameter/gradient storage for the fused engine, created
         # on first fused fit (rebinds param.data to views).
         self._flat: Optional[nn.FlatParameterSpace] = None
@@ -208,13 +195,15 @@ class Trainer:
             total = total + term
         return total
 
-    def batch_loss(self, batch: Sequence[VectorizedPlan]) -> nn.Tensor:
-        """Eq. 7 over one random batch, honouring the configured mode."""
+    def batch_loss(self, groups: Sequence[StructureGroup]) -> nn.Tensor:
+        """Eq. 7 over one batch's ``groups`` on the taped engine.
+
+        The mode picks cached (``both``, ``info_sharing``) or uncached
+        (``batching``, ``naive``) subtree evaluation; the caller picks
+        the grouping — per structure for the batched modes, one
+        single-plan group per member for the per-plan modes.
+        """
         mode = self.config.mode
-        if mode in ("both", "batching"):
-            groups = group_by_structure(batch, pool=self._stack_pool)
-        else:  # per-plan processing
-            groups = [_singleton(plan, self.config.np_dtype) for plan in batch]
         sse_fn = (
             self._group_sse_cached
             if mode in ("both", "info_sharing")
@@ -228,6 +217,32 @@ class Trainer:
         if self.config.loss == "rmse":
             return F.sqrt(mse + 1e-12)
         return mse
+
+    def _batch_groups(
+        self, corpus: PreGroupedCorpus, indices: np.ndarray
+    ) -> list[StructureGroup]:
+        """The groups one batch trains on under the configured mode."""
+        if self.config.mode in ("both", "batching"):
+            return corpus.gather(indices, pool=self._stack_pool)
+        # Per-plan modes: one single-row group per member, unpooled —
+        # pooled buffers are keyed by (signature, position), so two
+        # same-structure members would share one buffer before
+        # backward() reads it.
+        return [
+            group
+            for j in range(len(indices))
+            for group in corpus.gather(indices[j : j + 1])
+        ]
+
+    def _taped_train_step(self, groups: Sequence[StructureGroup]) -> float:
+        """One batch on the taped engine: loss, backward, clip, step."""
+        loss = self.batch_loss(groups)
+        self.optimizer.zero_grad()
+        loss.backward()
+        if self.config.grad_clip:
+            self.optimizer.clip_grad_norm(self.config.grad_clip)
+        self.optimizer.step()
+        return loss.item()
 
     # ------------------------------------------------------------------
     # Level-fused engine (whole batch, cross-structure)
@@ -292,6 +307,41 @@ class Trainer:
     ) -> TrainingHistory:
         """Train on analyzed plans; returns the per-epoch history.
 
+        Builds the epoch-level :class:`PreGroupedCorpus` straight from
+        the samples (:meth:`PreGroupedCorpus.from_samples`, in the
+        configured compute dtype) and runs :meth:`fit_grouped` on it;
+        every argument but ``samples`` is documented there.
+        """
+        corpus = PreGroupedCorpus.from_samples(
+            samples, self.model.featurizer, dtype=self.config.np_dtype
+        )
+        return self.fit_grouped(
+            corpus, epochs, eval_fn, eval_every, verbose,
+            checkpoint_dir, checkpoint_every, resume, epoch_hook,
+        )
+
+    def fit_grouped(
+        self,
+        corpus: PreGroupedCorpus,
+        epochs: Optional[int] = None,
+        eval_fn: Optional[Callable[[QPPNet], float]] = None,
+        eval_every: int = 0,
+        verbose: bool = False,
+        checkpoint_dir: Optional[str] = None,
+        checkpoint_every: int = 0,
+        resume: bool = True,
+        epoch_hook: Optional[Callable[[int], None]] = None,
+    ) -> TrainingHistory:
+        """Train on a prebuilt :class:`PreGroupedCorpus`.
+
+        Lets callers (benchmarks, repeated fits over the same corpus)
+        build the corpus once.  ``corpus.dtype`` must be the configured
+        compute dtype.  Each epoch draws one random permutation
+        (:meth:`PreGroupedCorpus.batch_indices`); the fused engine (see
+        :attr:`uses_fused_engine`) gathers every batch into pooled
+        per-structure groups, the taped engine into the grouping its
+        mode calls for (:meth:`batch_loss`).
+
         ``eval_fn(model)`` (e.g. test-set MAE) is recorded every
         ``eval_every`` epochs — used by the Figure 9b/9c convergence
         experiment.
@@ -308,78 +358,12 @@ class Trainer:
         fires after each epoch's bookkeeping (and after its checkpoint,
         so a crash inside the hook is resumable) — the fault-injection
         seam used by :mod:`repro.testing.faults`.
-
-        The fused engine builds its epoch-level
-        :class:`PreGroupedCorpus` straight from the samples via the
-        compiled featurization tier
-        (:meth:`PreGroupedCorpus.from_samples`) — one vectorized program
-        run per (structure, logical type) — skipping the per-node
-        ``vectorize_corpus`` walk entirely; only the taped reference
-        loop still vectorizes plan by plan.
         """
-        if self.uses_fused_engine:
-            pre_grouped = PreGroupedCorpus.from_samples(
-                samples, self.model.featurizer, dtype=self.config.np_dtype
+        if corpus.dtype != self.config.np_dtype:
+            raise ValueError(
+                f"corpus dtype {corpus.dtype} does not match the configured "
+                f"compute dtype {self.config.np_dtype}"
             )
-            corpus = None
-        else:
-            corpus = vectorize_corpus(samples, self.model.featurizer)
-            pre_grouped = None
-        return self._run_fit(
-            corpus, pre_grouped, epochs, eval_fn, eval_every, verbose,
-            checkpoint_dir, checkpoint_every, resume, epoch_hook,
-        )
-
-    def fit_vectorized(
-        self,
-        corpus: Sequence[VectorizedPlan],
-        epochs: Optional[int] = None,
-        eval_fn: Optional[Callable[[QPPNet], float]] = None,
-        eval_every: int = 0,
-        verbose: bool = False,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 0,
-        resume: bool = True,
-        epoch_hook: Optional[Callable[[int], None]] = None,
-    ) -> TrainingHistory:
-        """:meth:`fit` over an already-vectorized corpus.
-
-        Lets callers (benchmarks, repeated fits over the same corpus)
-        amortize featurization, and is the entry point that picks the
-        training engine: the fused engine (see :attr:`uses_fused_engine`)
-        runs whole-batch level plans over an epoch-level
-        :class:`PreGroupedCorpus`; everything else runs the taped
-        reference loop.  Checkpoint/resume parameters as in :meth:`fit`.
-        """
-        pre_grouped = (
-            PreGroupedCorpus(corpus, dtype=self.config.np_dtype)
-            if self.uses_fused_engine
-            else None
-        )
-        return self._run_fit(
-            corpus, pre_grouped, epochs, eval_fn, eval_every, verbose,
-            checkpoint_dir, checkpoint_every, resume, epoch_hook,
-        )
-
-    def _run_fit(
-        self,
-        corpus: Optional[Sequence[VectorizedPlan]],
-        pre_grouped: Optional[PreGroupedCorpus],
-        epochs: Optional[int],
-        eval_fn: Optional[Callable[[QPPNet], float]],
-        eval_every: int,
-        verbose: bool,
-        checkpoint_dir: Optional[str] = None,
-        checkpoint_every: int = 0,
-        resume: bool = True,
-        epoch_hook: Optional[Callable[[int], None]] = None,
-    ) -> TrainingHistory:
-        """Shared epoch loop behind :meth:`fit` / :meth:`fit_vectorized`.
-
-        Exactly one of ``corpus`` (taped reference loop) / ``pre_grouped``
-        (fused engine) drives the batches; both entry points resolve
-        which before calling in.
-        """
         epochs = epochs if epochs is not None else self.config.epochs
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
@@ -389,10 +373,10 @@ class Trainer:
             scheduler = nn.StepLR(
                 self.optimizer, self.config.lr_decay_every, self.config.lr_decay_gamma
             )
-        fused = pre_grouped is not None
         # Fused engine: pad every batch to the corpus structure list so
         # one LevelPlan serves the entire fit (no per-subset recompiles).
-        pad = _corpus_group_padder(pre_grouped) if fused else None
+        fused = self.uses_fused_engine
+        pad = _corpus_group_padder(corpus) if fused else None
         history = TrainingHistory()
         start_epoch = 0
         wall_offset = 0.0
@@ -419,20 +403,12 @@ class Trainer:
         start = time.perf_counter() - wall_offset
         for epoch in range(start_epoch + 1, epochs + 1):
             epoch_losses = []
-            if fused:
-                for groups in pre_grouped.iter_batches(
-                    self.config.batch_size, rng, pool=self._stack_pool
-                ):
+            for indices in corpus.batch_indices(self.config.batch_size, rng):
+                groups = self._batch_groups(corpus, indices)
+                if fused:
                     epoch_losses.append(self._fused_train_step(pad(groups)))
-            else:
-                for batch in sample_batches(corpus, self.config.batch_size, rng):
-                    loss = self.batch_loss(batch)
-                    self.optimizer.zero_grad()
-                    loss.backward()
-                    if self.config.grad_clip:
-                        self.optimizer.clip_grad_norm(self.config.grad_clip)
-                    self.optimizer.step()
-                    epoch_losses.append(loss.item())
+                else:
+                    epoch_losses.append(self._taped_train_step(groups))
             if scheduler is not None:
                 scheduler.step()
             history.epochs.append(epoch)

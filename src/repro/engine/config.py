@@ -10,15 +10,11 @@ can pick up from the "Relation Name" feature.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def _stable_rng(*parts: object) -> np.random.Generator:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+from repro.seeding import stable_rng
 
 
 @dataclass
@@ -43,7 +39,7 @@ class HardwareProfile:
     def device_factor(self, relation: str) -> float:
         """Systematic I/O speed multiplier for a relation (seeded)."""
         if relation not in self._device_factors:
-            rng = _stable_rng("device", self.seed, relation)
+            rng = stable_rng("device", self.seed, relation)
             self._device_factors[relation] = float(
                 np.exp(rng.normal(0.0, self.device_factor_sigma))
             )

@@ -7,6 +7,8 @@ latency scale) and maps any plan node to its fixed-size ``F(op)`` vector:
 (:data:`FEATURE_SCHEMAS`, a 1:1 transcription of paper Table 2) property
 by property.  This tier is the readable source of truth —
 every fast path is property-tested bitwise-equal against it in float64.
+Only the one-plan :meth:`repro.core.QPPNet.predict_operators` runs it
+outside the tests; training and batched serving featurize through tier 2.
 
 **Tier 2 — compiled feature programs** (:mod:`repro.featurize.compiled`).
 Per logical type, :class:`FeatureProgram` pre-resolves the entire column

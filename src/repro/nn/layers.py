@@ -47,7 +47,7 @@ class Module:
         The context holds exactly the intermediates :meth:`backward_train`
         needs (inputs for affine maps, masks for activations) — no tape,
         no closures.  Only modules with a closed-form backward implement
-        this pair; the compiled training engine in :mod:`repro.core`
+        this pair; the fused training engine in :mod:`repro.core`
         requires it of every module on the unit's layer stack.
         """
         raise NotImplementedError(

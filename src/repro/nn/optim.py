@@ -12,7 +12,7 @@ Two update paths are provided:
   data and gradient live as views into one flat buffer each, so the
   global-norm clip and the optimizer update are a handful of vectorized
   numpy operations regardless of how many (small) parameters the model
-  has.  Used by the compiled training engine in :mod:`repro.core.trainer`.
+  has.  Used by the fused training engine in :mod:`repro.core.trainer`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ class FlatParameterSpace:
     own precision) and rebinds each ``param.data`` to a reshaped view
     of it (values preserved); a parallel flat gradient buffer provides
     per-parameter views that :meth:`bind_grads` installs as ``param.grad``.
-    Gradient accumulation (taped ``_accumulate`` or the compiled
+    Gradient accumulation (taped ``_accumulate`` or the fused engine's
     ``backward_train`` path) then lands directly in the flat buffer, and:
 
     * :meth:`clip_grad_norm_` computes the global L2 norm with one dot

@@ -13,18 +13,12 @@ beyond the estimate itself).
 
 from __future__ import annotations
 
-import hashlib
 import math
 
 import numpy as np
 
 from repro.queryspec import Predicate, TableRef
-
-
-def _stable_rng(*parts: object) -> np.random.Generator:
-    """Deterministic generator from a tuple of hashable parts."""
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+from repro.seeding import stable_rng
 
 
 class SelectivityModel:
@@ -52,14 +46,14 @@ class SelectivityModel:
         """Systematic log-space bias for estimates on (table, column, op)."""
         key = (table, column, op)
         if key not in self._bias_cache:
-            rng = _stable_rng("colbias", self.seed, table, column, op)
+            rng = stable_rng("colbias", self.seed, table, column, op)
             self._bias_cache[key] = float(rng.normal(0.0, self.bias_sigma))
         return self._bias_cache[key]
 
     def estimate_predicate(self, table: str, pred: Predicate) -> float:
         """Optimizer's estimate of a single predicate's selectivity."""
         bias = self.column_bias(table, pred.column, pred.op)
-        wobble_rng = _stable_rng("wobble", self.seed, table, pred.column, round(pred.selectivity, 6))
+        wobble_rng = stable_rng("wobble", self.seed, table, pred.column, round(pred.selectivity, 6))
         wobble = float(wobble_rng.normal(0.0, self.wobble_sigma))
         est = pred.selectivity * math.exp(bias + wobble)
         return float(min(1.0, max(1e-9, est)))
@@ -90,6 +84,6 @@ class SelectivityModel:
         a per-template factor ``gamma**depth`` with ``gamma`` drawn once
         per (database, template).
         """
-        rng = _stable_rng("drift", self.seed, template_id)
+        rng = stable_rng("drift", self.seed, template_id)
         gamma = float(math.exp(rng.normal(0.0, 0.18)))
         return gamma**depth

@@ -217,7 +217,8 @@ full stack from the directory alone.
 record is truncated away, a record whose CRC fails is skipped, a
 segment with a bad header is quarantined (renamed ``*.corrupt``), a
 failed ``fsync``/write closes the journal into its ``io_errors``
-counter, a failed snapshot or manifest write increments
+counter, a record too deep to encode lands in ``encode_errors``, a
+failed snapshot or manifest write increments
 ``snapshot_errors``/``manifest_errors``, a failed journal prune
 increments ``prune_errors`` — all surfaced as typed
 counters on :class:`~repro.serving.journal.ReplayResult` and the

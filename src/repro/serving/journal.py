@@ -29,7 +29,11 @@ is flushed to the OS, and ``fsync`` is *batched* — one real fsync per
 the crash-loss window without paying a disk flush per outcome.  An
 ``OSError`` out of the write or fsync (disk full, injected fault) is
 swallowed into the ``io_errors`` counter and the handle is closed for
-reopen on the next append: durability degrades, serving never dies.
+reopen on the next append: durability degrades, serving never dies.  A
+record that cannot be encoded at all — e.g. a plan nested deeper than
+the JSON encoder's recursion limit — is counted in ``encode_errors``
+under the same contract: the append returns ``False`` and the record
+lives on only in memory.
 
 **Replay rules** (:meth:`recover`) — never an unhandled exception:
 
@@ -199,6 +203,8 @@ class OutcomeJournal:
         #: OSErrors swallowed on the write path (write or fsync); each
         #: one degrades durability for in-flight records, never serving.
         self.io_errors = 0
+        #: Records that could not be encoded (nothing written for them).
+        self.encode_errors = 0
 
     # ------------------------------------------------------------------
     # Write path
@@ -209,9 +215,17 @@ class OutcomeJournal:
         Never raises on I/O failure: a failed write/rotate closes the
         handle (reopened on the next append), bumps ``io_errors`` and
         returns ``False`` — the in-memory log still holds the record,
-        only its durability is lost.
+        only its durability is lost.  A record that fails to encode
+        (too deeply nested to serialize, or an unserializable property)
+        bumps ``encode_errors`` instead and likewise returns ``False``,
+        leaving the journal untouched.
         """
-        payload = encode_record(record)
+        try:
+            payload = encode_record(record)
+        except (RecursionError, TypeError, ValueError):
+            with self._lock:
+                self.encode_errors += 1
+            return False
         frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         with self._lock:
             try:
@@ -438,5 +452,5 @@ class OutcomeJournal:
     def __repr__(self) -> str:
         return (
             f"OutcomeJournal({str(self.directory)!r}, appended={self.appended}, "
-            f"io_errors={self.io_errors})"
+            f"io_errors={self.io_errors}, encode_errors={self.encode_errors})"
         )

@@ -663,12 +663,12 @@ class LifecycleManager:
         """The observed stream as training samples (deterministic).
 
         Journaled outcomes whose plan carries execution actuals (the
-        labels ``vectorize_plan`` reads), deduplicated by plan identity
-        keeping the newest observation, capped at the most recent
-        ``max_retrain_outcomes``.  Derived purely from the journal, so
-        re-deriving after a crash — with no new outcomes in between —
-        yields the identical sequence, which is what makes checkpoint
-        resume bitwise.
+        labels ``PreGroupedCorpus.from_samples`` reads), deduplicated by
+        plan identity keeping the newest observation, capped at the most
+        recent ``max_retrain_outcomes``.  Derived purely from the
+        journal, so re-deriving after a crash — with no new outcomes in
+        between — yields the identical sequence, which is what makes
+        checkpoint resume bitwise.
         """
         records = self.service.outcomes.snapshot()
         by_plan: "OrderedDict[int, OutcomeRecord]" = OrderedDict()

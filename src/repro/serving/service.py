@@ -300,8 +300,8 @@ class OutcomeRecord:
     The plan object itself is retained (not just its signature) so the
     retraining path can rebuild training samples from the observed
     stream — executed plans carry per-node actuals, which is exactly
-    what ``vectorize_plan`` reads as labels.  The journal is bounded, so
-    retained plans are capped at the log size.
+    what ``PreGroupedCorpus.from_samples`` reads as labels.  The journal
+    is bounded, so retained plans are capped at the log size.
     """
 
     #: 1-based monotonically increasing sequence number (journal-wide,
@@ -338,9 +338,9 @@ class OutcomeLog:
     record is also framed and written to disk *under this log's lock*,
     so on-disk order always equals sequence order and
     ``Prediction.observe`` becomes durable — the submit/predict hot
-    path is untouched, and journal I/O failures degrade to the
-    journal's ``io_errors`` counter, never an exception out of
-    ``record``.
+    path is untouched, and journal I/O and encode failures degrade to
+    the journal's ``io_errors`` / ``encode_errors`` counters, never an
+    exception out of ``record``.
     """
 
     def __init__(self, maxlen: int = OUTCOME_LOG_SIZE, *, journal=None) -> None:

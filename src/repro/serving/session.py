@@ -245,8 +245,8 @@ class InferenceSession:
         scatter loop.
         """
         # Canonical (sorted-by-signature) bucket order: matches the order
-        # group_by_structure/PreGroupedCorpus produce, so serving and
-        # training share cached level plans for the same structure mix.
+        # PreGroupedCorpus.gather produces, so serving and training share
+        # cached level plans for the same structure mix.
         ordered = self._bucket(plans)  # callers guarantee plans is non-empty
         level_plan = self.model.compile_level_plan([b.graph for b in ordered])
         features = [

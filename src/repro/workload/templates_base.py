@@ -11,18 +11,13 @@ on real data.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.queryspec import AggregateSpec, JoinEdge, Predicate, QuerySpec, TableRef
-
-
-def _stable_rng(*parts: object) -> np.random.Generator:
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+from repro.seeding import stable_rng
 
 
 @dataclass(frozen=True)
@@ -107,14 +102,14 @@ class QueryTemplate:
         for tt in self.tables:
             alias = tt.effective_alias
             pred_cols = ",".join(sorted(pt.column for pt in tt.predicates))
-            corr_rng = _stable_rng("corr", db_seed, tt.table, pred_cols)
+            corr_rng = stable_rng("corr", db_seed, tt.table, pred_cols)
             correlation = float(corr_rng.uniform(0.0, self.correlation_max))
             preds = tuple(pt.sample(rng) for pt in tt.predicates)
             tables.append(TableRef(tt.table, alias, preds, correlation))
 
         joins = []
         for jt in self.joins:
-            skew_rng = _stable_rng(
+            skew_rng = stable_rng(
                 "skew",
                 db_seed,
                 alias_table[jt.left[0]],
@@ -142,7 +137,7 @@ class QueryTemplate:
             # group-by columns within the filtered input): draw the base
             # fraction once per (database, group columns) and add only a
             # small per-instance jitter from the predicate parameters.
-            gf_rng = _stable_rng("groups", db_seed, *sorted(self.aggregate.group_by))
+            gf_rng = stable_rng("groups", db_seed, *sorted(self.aggregate.group_by))
             base_gf = float(np.exp(gf_rng.uniform(np.log(lo), np.log(hi))))
             jitter = float(rng.uniform(0.85, 1.18))
             aggregate = AggregateSpec(

@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    BufferPool,
-    bucket_plans,
-    group_by_structure,
-    plan_graph,
-    sample_batches,
-    vectorize_corpus,
-)
+from repro.core import BufferPool, PreGroupedCorpus, bucket_plans
 from repro.featurize import Featurizer
 from repro.workload import Workbench
 
@@ -24,9 +17,18 @@ def samples():
 
 
 @pytest.fixture(scope="module")
-def vectorized(samples):
-    featurizer = Featurizer().fit([s.plan for s in samples])
-    return vectorize_corpus(samples, featurizer)
+def featurizer(samples):
+    return Featurizer().fit([s.plan for s in samples])
+
+
+@pytest.fixture(scope="module")
+def pre(samples, featurizer):
+    return PreGroupedCorpus.from_samples(samples, featurizer)
+
+
+def _members(samples, group):
+    """The samples of ``group``, in corpus order (its row order)."""
+    return [s for s in samples if s.plan.structure_signature() == group.graph.signature]
 
 
 class TestBucketPlans:
@@ -44,11 +46,11 @@ class TestBucketPlans:
                 assert nodes == list(plans[index].preorder())
                 assert plans[index].structure_signature() == bucket.graph.signature
 
-    def test_canonical_order_matches_group_by_structure(self, samples, vectorized):
+    def test_canonical_order_matches_pre_grouped_corpus(self, samples, pre):
         """Serving and training must resolve the same structure mix to the
         same (cached) level plan: identical signature order."""
         bucket_order = [b.graph.signature for b in bucket_plans([s.plan for s in samples])]
-        group_order = [g.graph.signature for g in group_by_structure(vectorized)]
+        group_order = [g.graph.signature for g in pre.gather(np.arange(pre.n_plans))]
         assert bucket_order == group_order
 
     def test_empty(self):
@@ -56,43 +58,41 @@ class TestBucketPlans:
 
 
 class TestGrouping:
-    def test_partition_exact(self, vectorized):
-        groups = group_by_structure(vectorized)
-        assert sum(g.n_plans for g in groups) == len(vectorized)
+    def test_partition_exact(self, samples, pre):
+        assert sum(g.n_plans for g in pre.groups) == len(samples)
 
-    def test_signatures_unique_across_groups(self, vectorized):
-        groups = group_by_structure(vectorized)
-        signatures = [g.graph.signature for g in groups]
+    def test_signatures_unique_across_groups(self, pre):
+        signatures = [g.graph.signature for g in pre.groups]
         assert len(signatures) == len(set(signatures))
 
-    def test_group_operator_totals(self, vectorized):
-        groups = group_by_structure(vectorized)
-        total_ops = sum(g.n_operators for g in groups)
-        assert total_ops == sum(len(p.features) for p in vectorized)
+    def test_group_operator_totals(self, samples, pre):
+        total_ops = sum(g.n_operators for g in pre.groups)
+        assert total_ops == sum(s.plan.node_count() for s in samples)
 
-    def test_feature_stacking_preserves_rows(self, vectorized):
-        groups = group_by_structure(vectorized)
-        for g in groups:
+    def test_feature_stacking_preserves_rows(self, pre):
+        for g in pre.groups:
             for pos in range(g.graph.n_nodes):
                 assert g.features[pos].shape[0] == g.n_plans
 
-    def test_grouping_deterministic(self, vectorized):
-        a = [g.graph.signature for g in group_by_structure(vectorized)]
-        b = [g.graph.signature for g in group_by_structure(vectorized)]
+    def test_grouping_deterministic(self, samples, featurizer, pre):
+        again = PreGroupedCorpus.from_samples(samples, featurizer)
+        a = [g.graph.signature for g in pre.groups]
+        b = [g.graph.signature for g in again.groups]
         assert a == b
 
-    def test_pooled_grouping_matches_vstack(self, vectorized):
-        """Buffer-reuse stacking is value-identical to fresh np.vstack."""
+    def test_pooled_gather_reuses_buffers(self, pre):
+        """Gathering into a pool is value-identical to a fresh gather, and
+        a second pooled gather reuses the same backing buffers."""
         pool = BufferPool()
-        fresh = group_by_structure(vectorized)
-        pooled = group_by_structure(vectorized, pool=pool)
+        idx = np.arange(pre.n_plans)
+        fresh = pre.gather(idx)
+        pooled = pre.gather(idx, pool=pool)
         for a, b in zip(fresh, pooled):
             assert a.graph.signature == b.graph.signature
             assert np.array_equal(a.labels, b.labels)
             for pos in range(a.graph.n_nodes):
                 assert np.array_equal(a.features[pos], b.features[pos])
-        # Second pooled call reuses the same backing buffers.
-        again = group_by_structure(vectorized, pool=pool)
+        again = pre.gather(idx, pool=pool)
         for b, c in zip(pooled, again):
             for pos in range(b.graph.n_nodes):
                 assert c.features[pos].base is b.features[pos].base or (
@@ -102,77 +102,72 @@ class TestGrouping:
 
 class TestPreGroupedFromSamples:
     """``PreGroupedCorpus.from_samples`` (the compiled-featurization
-    construction) must be bitwise equivalent to the reference
-    vectorize-then-group construction in every stored matrix."""
+    construction) against the scalar featurizer: every stored row is the
+    plan's ``transform_plan`` row, bitwise in float64 and the float64 row
+    cast once in float32; labels are per-node actuals over the scale."""
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bitwise_equal_to_reference(self, samples, vectorized, dtype):
-        from repro.core import PreGroupedCorpus
-
-        featurizer = Featurizer().fit([s.plan for s in samples])
-        reference = PreGroupedCorpus(
-            vectorize_corpus(samples, featurizer), dtype=dtype
-        )
+    def test_bitwise_equal_to_reference(self, samples, featurizer, dtype):
         compiled = PreGroupedCorpus.from_samples(samples, featurizer, dtype=dtype)
         assert compiled.dtype == np.dtype(dtype)
-        assert compiled.n_plans == reference.n_plans
-        assert compiled.n_structures == reference.n_structures
-        assert np.array_equal(compiled._group_of, reference._group_of)
-        assert np.array_equal(compiled._row_of, reference._row_of)
-        for got, want in zip(compiled.groups, reference.groups):
-            assert got.graph.signature == want.graph.signature
-            assert got.labels.dtype == want.labels.dtype
-            assert np.array_equal(got.labels, want.labels)
-            for pos in range(want.graph.n_nodes):
-                assert got.features[pos].dtype == want.features[pos].dtype
-                assert np.array_equal(got.features[pos], want.features[pos])
+        assert compiled.n_plans == len(samples)
+        scale = featurizer.latency_scale_ms
+        for group in compiled.groups:
+            assert group.labels.dtype == np.dtype(dtype)
+            for row, sample in enumerate(_members(samples, group)):
+                rows = featurizer.transform_plan(sample.plan)
+                for pos, want in enumerate(rows):
+                    got = group.features[pos][row]
+                    assert got.dtype == np.dtype(dtype)
+                    assert np.array_equal(got, want.astype(dtype))
+                labels = np.array(
+                    [n.actual_total_ms / scale for n in sample.plan.preorder()]
+                )
+                assert np.array_equal(group.labels[row], labels.astype(dtype))
 
-    def test_gather_matches_reference_gather(self, samples):
-        from repro.core import PreGroupedCorpus
+    def test_gather_matches_reference_gather(self, samples, featurizer, pre):
+        """A gathered batch holds, per structure in batch order, the batch
+        members' scalar-featurizer rows."""
+        indices = np.random.default_rng(9).permutation(len(samples))[:16]
+        for group in pre.gather(indices):
+            members = [
+                samples[i] for i in indices
+                if samples[i].plan.structure_signature() == group.graph.signature
+            ]
+            assert group.n_plans == len(members)
+            for row, sample in enumerate(members):
+                for pos, want in enumerate(featurizer.transform_plan(sample.plan)):
+                    assert np.array_equal(group.features[pos][row], want)
 
-        featurizer = Featurizer().fit([s.plan for s in samples])
-        reference = PreGroupedCorpus(vectorize_corpus(samples, featurizer))
-        compiled = PreGroupedCorpus.from_samples(samples, featurizer)
-        rng = np.random.default_rng(9)
-        indices = rng.permutation(len(samples))[:16]
-        for got, want in zip(compiled.gather(indices), reference.gather(indices)):
-            assert got.graph.signature == want.graph.signature
-            assert np.array_equal(got.labels, want.labels)
-            for pos in range(want.graph.n_nodes):
-                assert np.array_equal(got.features[pos], want.features[pos])
-
-    def test_empty_rejected(self, samples):
-        from repro.core import PreGroupedCorpus
-
-        featurizer = Featurizer().fit([s.plan for s in samples])
+    def test_empty_rejected(self, featurizer):
         with pytest.raises(ValueError):
             PreGroupedCorpus.from_samples([], featurizer)
 
 
 class TestSampleBatches:
+    """Random batch sampling: :meth:`PreGroupedCorpus.batch_indices`."""
+
     @given(st.integers(min_value=1, max_value=64), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=30, deadline=None)
-    def test_batches_cover_corpus_exactly_once(self, batch_size, seed):
-        items = list(range(50))
-        batches = sample_batches(items, batch_size, np.random.default_rng(seed))
-        flat = [x for b in batches for x in b]
-        assert sorted(flat) == items
+    def test_batches_cover_corpus_exactly_once(self, pre, batch_size, seed):
+        batches = pre.batch_indices(batch_size, np.random.default_rng(seed))
+        flat = [int(i) for b in batches for i in b]
+        assert sorted(flat) == list(range(pre.n_plans))
         assert all(len(b) <= batch_size for b in batches)
 
-    def test_batches_shuffled(self):
-        items = list(range(100))
-        batches = sample_batches(items, 100, np.random.default_rng(0))
-        assert batches[0] != items  # astronomically unlikely to be sorted
+    def test_batches_shuffled(self, pre):
+        batches = pre.batch_indices(pre.n_plans, np.random.default_rng(0))
+        assert list(batches[0]) != list(range(pre.n_plans))  # astronomically unlikely
 
-    def test_invalid_batch_size(self):
+    def test_invalid_batch_size(self, pre):
         with pytest.raises(ValueError):
-            sample_batches([1], 0, np.random.default_rng(0))
+            pre.batch_indices(0, np.random.default_rng(0))
 
 
 class TestPlanGraphDepth:
-    def test_depth_of_matches_tree(self, vectorized):
-        for plan in vectorized[:5]:
-            graph = plan.graph
+    def test_depth_of_matches_tree(self, pre):
+        for group in pre.groups[:5]:
+            graph = group.graph
             root_depth = graph.depth_of(0)
             leaf_positions = [
                 p for p in range(graph.n_nodes) if not graph.children[p]
@@ -180,15 +175,15 @@ class TestPlanGraphDepth:
             assert all(graph.depth_of(p) == 1 for p in leaf_positions)
             assert root_depth >= 1
 
-    def test_heights_match_recursive_definition(self, vectorized):
+    def test_heights_match_recursive_definition(self, pre):
         def recursive_height(graph, pos):
             kids = graph.children[pos]
             if not kids:
                 return 0
             return 1 + max(recursive_height(graph, k) for k in kids)
 
-        for plan in vectorized[:5]:
-            graph = plan.graph
+        for group in pre.groups[:5]:
+            graph = group.graph
             assert graph.heights == tuple(
                 recursive_height(graph, p) for p in range(graph.n_nodes)
             )
@@ -198,8 +193,8 @@ class TestPlanGraphDepth:
                 for p in range(graph.n_nodes)
             )
 
-    def test_heights_memoized(self, vectorized):
-        graph = vectorized[0].graph
+    def test_heights_memoized(self, pre):
+        graph = pre.groups[0].graph
         assert graph.heights is graph.heights  # one postorder pass, cached
 
     def test_depth_of_iterative_on_deep_chain(self):

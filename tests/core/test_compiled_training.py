@@ -24,9 +24,7 @@ from repro.core import (
     StructureGroup,
     TRAINING_ENGINES,
     Trainer,
-    group_by_structure,
     plan_graph,
-    vectorize_corpus,
 )
 from repro.core.unit import NeuralUnit
 from repro.featurize import Featurizer
@@ -46,6 +44,11 @@ def corpus():
 @pytest.fixture(scope="module")
 def featurizer(corpus):
     return Featurizer().fit([s.plan for s in corpus])
+
+
+@pytest.fixture(scope="module")
+def pre(corpus, featurizer):
+    return PreGroupedCorpus.from_samples(corpus, featurizer)
 
 
 def tiny_config(**overrides):
@@ -74,42 +77,40 @@ def _max_grad_diff(model, reference):
 
 class TestGradientEquivalence:
     @pytest.mark.parametrize("loss", ["mse", "rmse"])
-    def test_fused_matches_taped(self, corpus, featurizer, loss):
+    def test_fused_matches_taped(self, pre, featurizer, loss):
         """The cross-structure level-fused engine computes the taped loss
         and gradients (one matmul per unit type per depth or not)."""
         config = tiny_config(loss=loss)
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
 
         model.zero_grad()
-        taped_loss = trainer.batch_loss(vec)
+        taped_loss = trainer.batch_loss(pre.groups)
         taped_loss.backward()
         taped = _grad_snapshot(model)
 
         model.zero_grad()
-        fused_loss = trainer.fused_loss_backward(group_by_structure(vec))
+        fused_loss = trainer.fused_loss_backward(pre.groups)
 
         assert abs(taped_loss.item() - fused_loss) <= GRAD_TOL
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
-    def test_tape_free_matches_taped_with_flat_binding(self, corpus, featurizer):
+    def test_tape_free_matches_taped_with_flat_binding(self, pre, featurizer):
         """Equivalence must also hold when grads land in flat-space views."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
 
         model.zero_grad()
-        trainer.batch_loss(vec).backward()
+        trainer.batch_loss(pre.groups).backward()
         taped = _grad_snapshot(model)
 
         flat = trainer._ensure_flat()
         flat.zero_grad()
-        trainer.fused_loss_backward(group_by_structure(vec))
+        trainer.fused_loss_backward(pre.groups)
         assert _max_grad_diff(model, taped) <= GRAD_TOL
 
-    def test_fused_padded_batch_matches_subset(self, corpus, featurizer):
+    def test_fused_padded_batch_matches_subset(self, pre, featurizer):
         """Zero-row padding to the corpus structure list (what the fused
         fit loop does to keep one LevelPlan per fit) must not change the
         loss or any gradient."""
@@ -118,9 +119,7 @@ class TestGradientEquivalence:
         config = tiny_config()
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
-        pre = PreGroupedCorpus(vec)
-        subset = pre.gather(np.arange(0, len(vec), 3))
+        subset = pre.gather(np.arange(0, pre.n_plans, 3))
         padded = _corpus_group_padder(pre)(subset)
         assert len(padded) == pre.n_structures
         assert len(subset) < len(padded)  # some structures really absent
@@ -149,7 +148,7 @@ class TestGradientEquivalence:
         config = tiny_config(hidden_layers=1, neurons=6, data_size=2)
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        groups = group_by_structure(vectorize_corpus(corpus[:4], featurizer))
+        groups = PreGroupedCorpus.from_samples(corpus[:4], featurizer).groups
 
         def loss_fn():
             return nn.Tensor(np.array(trainer.fused_loss_backward(groups)))
@@ -170,17 +169,15 @@ class TestGradientEquivalence:
                 checked += 1
         assert checked > 0
 
-    def test_leaf_fusion_present(self, corpus, featurizer):
+    def test_leaf_fusion_present(self, pre, featurizer):
         """The workload has multi-scan plans, so level-0 fusion must engage
         within a single-graph level plan (leaves are just depth-0 level
         steps)."""
         config = tiny_config()
         model = QPPNet(featurizer, config)
-        vec = vectorize_corpus(corpus, featurizer)
         multi_scan = next(
-            p for p in vec
-            if sum(1 for t, kids in zip(p.graph.types, p.graph.children)
-                   if not kids) >= 2
+            g for g in pre.groups
+            if sum(1 for kids in g.graph.children if not kids) >= 2
         )
         plan = model.compile_level_plan([multi_scan.graph])
         leaf_steps = [s for s in plan.steps if s.level == 0]
@@ -477,8 +474,7 @@ class TestDtypeTiers:
         config = tiny_config(epochs=1, dtype="float32")
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus, featurizer)
-        trainer.fit_vectorized(vec, epochs=1)
+        trainer.fit(corpus, epochs=1)
 
         flat = trainer._flat
         assert flat is not None
@@ -500,27 +496,27 @@ class TestDtypeTiers:
             assert buffer.dtype == np.float32
 
     def test_pre_grouped_corpus_carries_dtype(self, corpus, featurizer):
-        vec = vectorize_corpus(corpus, featurizer)
-        pre = PreGroupedCorpus(vec, dtype=np.float32)
+        pre = PreGroupedCorpus.from_samples(corpus, featurizer, dtype=np.float32)
         assert pre.dtype == np.float32
         for group in pre.groups:
             assert group.labels.dtype == np.float32
             assert all(f.dtype == np.float32 for f in group.features)
-        gathered = pre.gather(np.arange(min(8, len(vec))))
+        gathered = pre.gather(np.arange(min(8, pre.n_plans)))
         for group in gathered:
             assert group.labels.dtype == np.float32
             assert all(f.dtype == np.float32 for f in group.features)
 
     @pytest.mark.parametrize("mode", ["naive", "info_sharing"])
     def test_ablation_modes_honour_dtype(self, corpus, featurizer, mode):
-        """The per-plan ablation modes bypass the stacking pool, so they
-        must cast features/labels themselves — a float32 model's taped
-        loss and gradients stay float32 in every mode."""
+        """The per-plan ablation modes gather unpooled single-plan
+        groups; a float32 corpus keeps a float32 model's taped loss and
+        gradients float32 in every mode."""
         config = tiny_config(mode=mode, dtype="float32", batch_size=4)
         model = QPPNet(featurizer, config)
         trainer = Trainer(model, config)
-        vec = vectorize_corpus(corpus[:4], featurizer)
-        loss = trainer.batch_loss(vec)
+        pre = PreGroupedCorpus.from_samples(corpus[:4], featurizer, dtype=np.float32)
+        singles = [g for i in range(pre.n_plans) for g in pre.gather([i])]
+        loss = trainer.batch_loss(singles)
         assert loss.data.dtype == np.float32
         loss.backward()
         grads = [p.grad for p in model.parameters() if p.grad is not None]
@@ -554,43 +550,43 @@ class TestDtypeTiers:
 
 
 class TestPreGroupedCorpus:
-    def test_gather_matches_group_by_structure(self, corpus, featurizer):
-        vec = vectorize_corpus(corpus, featurizer)
-        pre = PreGroupedCorpus(vec)
-        idx = np.random.default_rng(3).permutation(len(vec))[:20]
+    def test_gather_matches_group_row_slices(self, corpus, pre):
+        """A gathered batch is, per structure, the batch members' rows of
+        the full-corpus group matrices: groups in signature order, rows
+        in batch order."""
+        signatures = [s.plan.structure_signature() for s in corpus]
+        # Groups hold their members in corpus order, so plan i sits at
+        # its rank among the earlier plans of the same structure.
+        row_of = [signatures[:i].count(sig) for i, sig in enumerate(signatures)]
+        by_signature = {g.graph.signature: g for g in pre.groups}
+        idx = np.random.default_rng(3).permutation(pre.n_plans)[:20]
         gathered = pre.gather(idx)
-        reference = group_by_structure([vec[i] for i in idx])
-        assert len(gathered) == len(reference)
-        for got, want in zip(gathered, reference):
-            assert got.graph.signature == want.graph.signature
-            assert np.array_equal(got.labels, want.labels)
-            for a, b in zip(got.features, want.features):
-                assert np.array_equal(a, b)
+        assert [g.graph.signature for g in gathered] == sorted(
+            {signatures[i] for i in idx}
+        )
+        for got in gathered:
+            src = by_signature[got.graph.signature]
+            rows = [row_of[i] for i in idx if signatures[i] == got.graph.signature]
+            assert np.array_equal(got.labels, src.labels[rows])
+            for a, b in zip(got.features, src.features):
+                assert np.array_equal(a, b[rows])
 
-    def test_batches_partition_corpus(self, corpus, featurizer):
-        vec = vectorize_corpus(corpus, featurizer)
-        pre = PreGroupedCorpus(vec)
+    def test_batches_partition_corpus(self, pre):
         rng = np.random.default_rng(0)
         total = 0
-        for groups in pre.iter_batches(10, rng):
-            total += sum(g.n_plans for g in groups)
-        assert total == len(vec)
+        for indices in pre.batch_indices(10, rng):
+            total += sum(g.n_plans for g in pre.gather(indices))
+        assert total == pre.n_plans
 
-    def test_pooled_gather_equals_unpooled(self, corpus, featurizer):
+    def test_pooled_gather_equals_unpooled(self, pre):
         from repro.core import BufferPool
 
-        vec = vectorize_corpus(corpus, featurizer)
-        pre = PreGroupedCorpus(vec)
-        idx = np.arange(min(12, len(vec)))
+        idx = np.arange(min(12, pre.n_plans))
         pool = BufferPool()
         for got, want in zip(pre.gather(idx, pool=pool), pre.gather(idx)):
             assert np.array_equal(got.labels, want.labels)
             for a, b in zip(got.features, want.features):
                 assert np.array_equal(a, b)
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            PreGroupedCorpus([])
 
 
 class TestCompiledFit:

@@ -10,8 +10,7 @@ trains the same model PyTorch would.
 import numpy as np
 import pytest
 
-from repro.core import QPPNet, QPPNetConfig, Trainer, vectorize_corpus
-from repro.core.batching import group_by_structure
+from repro.core import PreGroupedCorpus, QPPNet, QPPNetConfig, Trainer
 from repro.featurize import Featurizer
 from repro.nn.gradcheck import numerical_gradient
 from repro.workload import Workbench
@@ -24,14 +23,19 @@ def setup():
     config = QPPNetConfig(hidden_layers=1, neurons=6, data_size=2, batch_size=8, epochs=1, seed=3)
     model = QPPNet(featurizer, config)
     trainer = Trainer(model, config)
-    vectorized = vectorize_corpus(corpus, featurizer)
-    return model, trainer, vectorized
+    pre = PreGroupedCorpus.from_samples(corpus, featurizer)
+    return model, trainer, pre
+
+
+def _single_plans(pre, keep):
+    """Global indices of the plans whose structure satisfies ``keep``."""
+    return [i for i in range(pre.n_plans) if keep(pre.gather([i])[0].graph)]
 
 
 class TestTreeGradients:
     def test_loss_gradients_match_numerical(self, setup):
-        model, trainer, vectorized = setup
-        batch = vectorized[:3]
+        model, trainer, pre = setup
+        batch = pre.gather([0, 1, 2])
         params = list(model.parameters())
 
         def loss_fn():
@@ -56,32 +60,33 @@ class TestTreeGradients:
     def test_weight_sharing_accumulates_gradients(self, setup):
         """A plan with several scans must send gradient to the scan unit
         once per instance (shared weights)."""
-        model, trainer, vectorized = setup
-        multi_scan = next(
-            p for p in vectorized
-            if sum(1 for t in p.graph.types if t.value == "scan") >= 2
-        )
+        model, trainer, pre = setup
+        multi_scan = _single_plans(
+            pre, lambda graph: sum(1 for t in graph.types if t.value == "scan") >= 2
+        )[0]
         model.zero_grad()
-        trainer.batch_loss([multi_scan]).backward()
+        trainer.batch_loss(pre.gather([multi_scan])).backward()
         scan_unit = model.units[next(t for t in model.units if t.value == "scan")]
         grads = [p.grad for p in scan_unit.parameters()]
         assert any(g is not None and np.abs(g).sum() > 0 for g in grads)
 
     def test_unused_units_get_no_gradient(self, setup):
-        model, trainer, vectorized = setup
+        model, trainer, pre = setup
         # Find a plan without aggregates (e.g. no-agg template) if any.
-        no_agg = [p for p in vectorized if all(t.value != "aggregate" for t in p.graph.types)]
+        no_agg = _single_plans(
+            pre, lambda graph: all(t.value != "aggregate" for t in graph.types)
+        )
         if not no_agg:
             pytest.skip("every sampled plan aggregates")
         model.zero_grad()
-        trainer.batch_loss(no_agg[:1]).backward()
+        trainer.batch_loss(pre.gather(no_agg[:1])).backward()
         agg_unit = model.units[next(t for t in model.units if t.value == "aggregate")]
         assert all(p.grad is None for p in agg_unit.parameters())
 
     def test_modes_share_gradients(self, setup):
         """Cached and uncached loss evaluation produce identical gradients."""
-        model, trainer, vectorized = setup
-        batch = vectorized[:2]
+        model, trainer, pre = setup
+        batch = pre.gather([0, 1])
 
         def grads_for(mode):
             trainer.config = trainer.config.with_(mode=mode)

@@ -13,10 +13,9 @@ from repro.core import (
     BufferPool,
     LevelPlan,
     LevelPlanCache,
+    PreGroupedCorpus,
     QPPNet,
     QPPNetConfig,
-    group_by_structure,
-    vectorize_corpus,
 )
 from repro.featurize import Featurizer
 from repro.workload import Workbench
@@ -40,7 +39,7 @@ def model(corpus, featurizer):
 
 @pytest.fixture(scope="module")
 def groups(corpus, featurizer):
-    return group_by_structure(vectorize_corpus(corpus, featurizer))
+    return PreGroupedCorpus.from_samples(corpus, featurizer).groups
 
 
 class TestCompiler:

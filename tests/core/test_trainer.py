@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import QPPNet, QPPNetConfig, Trainer, train_qppnet, vectorize_corpus
+from repro.core import PreGroupedCorpus, QPPNet, QPPNetConfig, Trainer, train_qppnet
 from repro.featurize import Featurizer
 from repro.workload import Workbench
 
@@ -24,16 +24,22 @@ def tiny_config(**overrides):
     return QPPNetConfig(**base)
 
 
+def _single_plan_groups(pre, indices):
+    return [group for i in indices for group in pre.gather([i])]
+
+
 class TestModesEquivalence:
     def test_all_modes_same_initial_loss(self, corpus, featurizer):
         """The four modes compute the same Eq. 7 objective."""
         losses = {}
-        vec = vectorize_corpus(corpus, featurizer)
+        pre = PreGroupedCorpus.from_samples(corpus, featurizer)
+        singles = _single_plan_groups(pre, range(pre.n_plans))
         for mode in ("naive", "batching", "info_sharing", "both"):
             config = tiny_config(mode=mode)
             model = QPPNet(featurizer, config)
             trainer = Trainer(model, config)
-            losses[mode] = trainer.batch_loss(vec).item()
+            groups = pre.groups if mode in ("both", "batching") else singles
+            losses[mode] = trainer.batch_loss(groups).item()
         values = list(losses.values())
         assert all(v == pytest.approx(values[0], rel=1e-9) for v in values), losses
 
@@ -53,6 +59,63 @@ class TestModesEquivalence:
             history = Trainer(model, config).fit(corpus)
             times[mode] = history.total_time_s
         assert times["both"] < times["naive"]
+
+
+class TestBatchSource:
+    """Every mode and engine trains on batches of one PreGroupedCorpus."""
+
+    @staticmethod
+    def _one_batch_grads(featurizer, pre, mode):
+        # One batch covering the whole corpus: after the single step,
+        # param.grad holds exactly that batch's gradients.
+        config = tiny_config(mode=mode, batch_size=pre.n_plans, epochs=1)
+        model = QPPNet(featurizer, config)
+        Trainer(model, config).fit_grouped(pre)
+        return [
+            np.zeros_like(p.data) if p.grad is None else p.grad.copy()
+            for p in model.parameters()
+        ]
+
+    def test_naive_same_structure_batch_matches_batching(self, corpus, featurizer):
+        """Per-plan modes gather one unpooled group per member; if two
+        same-structure members shared a pooled buffer, the first would
+        train on the second's rows and the gradients would diverge."""
+        pre = PreGroupedCorpus.from_samples(corpus[:12], featurizer)
+        assert max(g.n_plans for g in pre.groups) >= 2
+        naive = self._one_batch_grads(featurizer, pre, "naive")
+        batching = self._one_batch_grads(featurizer, pre, "batching")
+        assert any(np.abs(g).sum() > 0 for g in naive)
+        for a, b in zip(naive, batching):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-12
+
+    def test_fit_grouped_matches_fit(self, corpus, featurizer):
+        def run(prebuilt):
+            config = tiny_config(epochs=2)
+            model = QPPNet(featurizer, config)
+            trainer = Trainer(model, config)
+            if prebuilt:
+                pre = PreGroupedCorpus.from_samples(corpus[:16], featurizer)
+                history = trainer.fit_grouped(pre)
+            else:
+                history = trainer.fit(corpus[:16])
+            return history.train_loss, model.state_dict()
+
+        (loss_a, state_a), (loss_b, state_b) = run(True), run(False)
+        assert loss_a == loss_b
+        for name in state_a:
+            assert np.array_equal(state_a[name], state_b[name])
+
+    @pytest.mark.parametrize(
+        "corpus_dtype,config_dtype", [("float32", "float64"), ("float64", "float32")]
+    )
+    def test_fit_grouped_rejects_dtype_mismatch(
+        self, corpus, featurizer, corpus_dtype, config_dtype
+    ):
+        pre = PreGroupedCorpus.from_samples(corpus[:8], featurizer, dtype=corpus_dtype)
+        config = tiny_config(dtype=config_dtype)
+        trainer = Trainer(QPPNet(featurizer, config), config)
+        with pytest.raises(ValueError, match="dtype"):
+            trainer.fit_grouped(pre)
 
 
 class TestTrainingBehaviour:

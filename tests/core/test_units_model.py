@@ -7,11 +7,10 @@ from repro import nn
 from repro.core import (
     MIN_PREDICTION_MS,
     NeuralUnit,
+    PreGroupedCorpus,
     QPPNet,
     QPPNetConfig,
-    group_by_structure,
     plan_graph,
-    vectorize_corpus,
 )
 from repro.featurize import Featurizer
 from repro.plans import LogicalType
@@ -86,8 +85,7 @@ class TestPlanGraph:
             seen.add(pos)
 
     def test_grouping_by_signature(self, corpus, featurizer):
-        vec = vectorize_corpus(corpus, featurizer)
-        groups = group_by_structure(vec)
+        groups = PreGroupedCorpus.from_samples(corpus, featurizer).groups
         assert sum(g.n_plans for g in groups) == len(corpus)
         for group in groups:
             assert group.labels.shape == (group.n_plans, group.graph.n_nodes)
@@ -114,14 +112,12 @@ class TestQPPNet:
         assert len(preds) == plan.node_count()
 
     def test_forward_group_caches_every_position(self, model, corpus, featurizer):
-        vec = vectorize_corpus(corpus[:6], featurizer)
-        group = group_by_structure(vec)[0]
+        group = PreGroupedCorpus.from_samples(corpus[:6], featurizer).groups[0]
         outputs = model.forward_group(group)
         assert set(outputs) == set(range(group.graph.n_nodes))
 
     def test_uncached_forward_matches_cached(self, model, corpus, featurizer):
-        vec = vectorize_corpus(corpus[:6], featurizer)
-        group = group_by_structure(vec)[0]
+        group = PreGroupedCorpus.from_samples(corpus[:6], featurizer).groups[0]
         cached = model.forward_group(group)
         for pos in range(group.graph.n_nodes):
             uncached = model.forward_subtree_uncached(group, pos)

@@ -12,6 +12,7 @@ import pytest
 from repro.featurize import Featurizer
 from repro.ingest import UNKNOWN_OP_PROP, parse
 from repro.plans.node import PlanNode
+from repro.plans.operators import PhysicalOp
 from repro.serving import (
     InferenceSession,
     JournalError,
@@ -328,6 +329,74 @@ class TestSickDisk:
             )
         assert log.total == 5
         assert journal.io_errors == 5
+
+
+# ----------------------------------------------------------------------
+# Unencodable records: counted, never raised
+# ----------------------------------------------------------------------
+def _sort_chain(plans, depth):
+    """A valid ``Sort`` -> ... -> ``Seq Scan`` chain ``depth`` nodes deep."""
+    nodes = [n for plan in plans for n in plan.preorder()]
+    sort = next(n for n in nodes if n.op is PhysicalOp.SORT)
+    scan = next(n for n in nodes if n.op is PhysicalOp.SEQ_SCAN)
+    node = PlanNode(scan.op, scan.props)
+    for _ in range(depth - 1):
+        node = PlanNode(sort.op, sort.props, [node])
+    return node
+
+
+class TestUnencodableRecords:
+    def test_deep_plan_observe_counts_encode_error(self, tmp_path, plans):
+        """A plan too deep to JSON-encode is served and observed; the
+        journal counts the encode failure instead of raising out of
+        ``observe``, writes nothing for it, and stays clean."""
+        from repro.core import QPPNet, QPPNetConfig
+
+        deep = _sort_chain(plans, 1500)
+        net = QPPNet(
+            Featurizer().fit(plans),
+            QPPNetConfig(hidden_layers=1, neurons=8, data_size=4, seed=0),
+        )
+        journal = OutcomeJournal(tmp_path, fsync_every=1)
+        service = PredictionService(
+            net, outcomes=OutcomeLog(8, journal=journal)
+        )
+        with service:
+            prediction = service.submit(deep)
+            prediction.result(timeout=60)
+            record = prediction.observe(100.0)
+            shallow = service.submit(plans[0])
+            shallow.result(timeout=30)
+            shallow.observe(50.0)
+        assert record.plan is deep and record.seq == 1
+        assert service.outcomes.total == 2
+        assert journal.encode_errors == 1
+        assert journal.io_errors == 0
+        journal.close()
+        replay = OutcomeJournal(tmp_path).recover()
+        assert replay.clean
+        assert [r.seq for r in replay.records] == [2]
+
+    def test_unserializable_prop_counts_encode_error(self, tmp_path, plans):
+        """A numpy scalar property passes plan validation but not
+        ``json.dumps``: counted, nothing written, the journal heals."""
+        odd = PlanNode(plans[0].op, dict(plans[0].props), plans[0].children)
+        odd.props["Plan Rows"] = np.float32(odd.props["Plan Rows"])
+        journal = OutcomeJournal(tmp_path)
+        assert journal.append(make_record(1, odd)) is False
+        assert journal.append(make_record(2, plans[1]))
+        assert (journal.encode_errors, journal.io_errors) == (1, 0)
+        journal.close()
+        assert [r.seq for r in OutcomeJournal(tmp_path).recover().records] == [2]
+
+    def test_moderately_deep_plan_round_trips(self, tmp_path, plans):
+        chain = _sort_chain(plans, 200)
+        journal = OutcomeJournal(tmp_path)
+        assert journal.append(make_record(1, chain))
+        journal.close()
+        (replayed,) = OutcomeJournal(tmp_path).recover().records
+        assert replayed.plan.node_count() == 200
+        assert journal.encode_errors == 0
 
 
 # ----------------------------------------------------------------------

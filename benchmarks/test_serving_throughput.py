@@ -821,15 +821,17 @@ def test_ingestion_throughput():
 # ----------------------------------------------------------------------
 # Durability (crash-safe outcome journal)
 # ----------------------------------------------------------------------
-#: This box measures ~0.7-0.8 overhead: the journaled ``observe``
-#: additionally JSON-encodes the FULL plan payload (the round-trippable
-#: tree that makes replayed records featurize bitwise), CRC-frames it
-#: and writes it through a buffered handle — ~100us/record, serial with
-#: a drain loop whose in-memory burst is only ~25ms.  That is the price
-#: of durable *plans*, not of the framing; a production deployment that
-#: observes outcomes minutes after serving never sees it on the latency
-#: path.  The local gate guards against regression from this measured
-#: floor; the CI perf lane pins its aspirational bound non-blocking.
+#: The journaled ``observe`` writes each distinct plan's JSON once per
+#: segment (the round-trippable tree that makes replayed records
+#: featurize bitwise); a repeat observation of a memoized plan pays a
+#: per-node compare against the plan's fingerprint plus a ~130-byte
+#: outcome frame, ~40us/record on a 2-core x86 box, serial with a
+#: drain loop whose in-memory burst is only ~25ms (measured ratio
+#: ~0.5-0.9 there; the in-memory leg is noisy).  This benchmark
+#: observes each plan once per burst, so its first burst pays every
+#: plan frame and later bursts run on memo hits.  The local gate guards
+#: against regression; the CI perf lane pins its aspirational bound
+#: non-blocking.
 JOURNAL_MAX_OVERHEAD = float(os.environ.get("BENCH_JOURNAL_MAX_OVERHEAD", "0.85"))
 
 

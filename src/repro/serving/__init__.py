@@ -206,19 +206,21 @@ full stack from the directory alone.
   died;
 * an interrupted fine-tune: recovery lands back in ``retraining``,
   training samples re-derive deterministically from the replayed
-  journal, and the next ``retrain()`` resumes bitwise from the cycle's
-  last checkpoint;
+  journal (records that shared one plan object replay sharing one
+  plan, so repeat observations dedupe as they did live), and the next
+  ``retrain()`` resumes bitwise from the cycle's last checkpoint;
 * the live model pointer: promotion saves the candidate's bundle to a
   fresh versioned directory *before* the swap and republishes the
   manifest after, so the manifest only ever names complete bundles;
   a rollback moves the pointer back to the previous bundle.
 
 **Torn and rotten disk state degrades, never raises:** a torn final
-record is truncated away, a record whose CRC fails is skipped, a
-segment with a bad header is quarantined (renamed ``*.corrupt``), a
-failed ``fsync``/write closes the journal into its ``io_errors``
-counter, a record too deep to encode lands in ``encode_errors``, a
-failed snapshot or manifest write increments
+record is truncated away, a frame whose CRC fails is skipped (a lost
+plan frame takes its segment's references to it along) and its segment
+rewritten without it, a segment with a bad header is quarantined
+(renamed ``*.corrupt``), a failed ``fsync``/write closes the journal
+into its ``io_errors`` counter, a record too deep to encode lands in
+``encode_errors``, a failed snapshot or manifest write increments
 ``snapshot_errors``/``manifest_errors``, a failed journal prune
 increments ``prune_errors`` — all surfaced as typed
 counters on :class:`~repro.serving.journal.ReplayResult` and the

@@ -14,40 +14,82 @@ tolerating exactly the damage a kill -9 can inflict.
 ``segment-<firstseq:08d>.wal`` (the zero-padded sequence number of the
 segment's first record, so lexicographic order is replay order).  Each
 segment starts with an 8-byte magic (:data:`SEGMENT_MAGIC`, which
-carries the format version) followed by length+CRC framed records::
+carries the format version) followed by length+CRC framed payloads::
 
     <u32 payload length> <u32 crc32(payload)> <payload bytes>
 
-(little-endian).  The payload is one compact-JSON object holding the
-record's scalars plus the plan serialized through the existing
-plan-JSON round-trip (:meth:`~repro.plans.node.PlanNode.to_dict`), so a
-replayed plan reconstructs bitwise-identical featurization inputs.
+(little-endian).  In a ``QPPWAL2`` segment a payload's first byte names
+its frame kind and the rest is one compact-JSON object:
+
+* a *plan frame* (``P``, :func:`encode_plan`) holds a plan id, the
+  structure signature and the plan serialized through the plan-JSON
+  round trip (:meth:`~repro.plans.node.PlanNode.to_dict`), so a replayed
+  plan reconstructs bitwise-identical featurization inputs;
+* an *outcome frame* (``O``, :func:`encode_record`) holds one record's
+  ``seq``, ``predicted_ms``, ``observed_ms``, ``model`` and
+  ``timestamp`` plus the id of its plan.
+
+**Per-segment plan tables.**  A plan's JSON is written once per
+segment, not once per outcome: the writer emits a plan frame before the
+plan's first reference in each segment, and a reference resolves only
+against a plan frame earlier in the *same* segment.  Every segment is
+therefore self-contained, and pruning or quarantining one never orphans
+a reference in another.  Plan ids come from a bounded LRU memo keyed on
+the live plan object's identity (the memo holds the plan, so its
+``id()`` cannot be reused).  A hit is confirmed against a cheap per-node
+fingerprint — operator, arity, actuals and every property with its
+value's type — so a plan mutated in place gets a fresh id and frame.
+The owning :class:`~repro.serving.service.OutcomeLog` sets the memo's
+bound (``plan_memo_size``) to its own ``maxlen``, so every plan its
+retention window references stays memoized.
+
+**Previous format.**  ``QPPWAL1`` segments (:data:`SEGMENT_MAGIC_V1`:
+one frame per record carrying the full plan) still replay through
+:func:`decode_v1_record`.  The journal never appends to them: after
+:meth:`OutcomeJournal.recover` the next append always opens a new
+segment.
 
 **Write path.**  Appends go through one buffered handle; every append
 is flushed to the OS, and ``fsync`` is *batched* — one real fsync per
 ``fsync_every`` appends (plus on :meth:`sync`/:meth:`close`), bounding
 the crash-loss window without paying a disk flush per outcome.  An
 ``OSError`` out of the write or fsync (disk full, injected fault) is
-swallowed into the ``io_errors`` counter and the handle is closed for
-reopen on the next append: durability degrades, serving never dies.  A
-record that cannot be encoded at all — e.g. a plan nested deeper than
-the JSON encoder's recursion limit — is counted in ``encode_errors``
-under the same contract: the append returns ``False`` and the record
-lives on only in memory.
+swallowed into the ``io_errors`` counter and the handle is closed, so
+the next append opens a new segment: durability degrades, serving never
+dies.  A record that cannot be encoded at all — e.g. a plan nested
+deeper than the JSON encoder's recursion limit, or a frame beyond
+:data:`MAX_RECORD_BYTES` — is counted in ``encode_errors`` under the
+same contract: the append returns ``False`` and the record lives on
+only in memory.
 
 **Replay rules** (:meth:`recover`) — never an unhandled exception:
 
 * a short read of the header or payload at the *tail of the final
   segment* is a torn write: the tail is truncated
-  (``torn_tail_bytes``) so appends continue from the last good frame;
-* a CRC mismatch with intact framing is a corrupt *record*: skipped
-  and counted (``corrupt_records``), replay continues at the next
-  frame;
+  (``torn_tail_bytes``) so the bytes on disk end at the last good frame;
+* a CRC mismatch with intact framing is a corrupt *frame*: skipped and
+  counted (``corrupt_records``), replay continues at the next frame.  A
+  lost plan frame also costs the outcome frames of its segment that
+  reference it — each unresolved reference counts as a corrupt record —
+  but never a record in another segment.  The segment is then rewritten
+  to its good frames (the damaged bytes kept beside it as ``*.corrupt``)
+  so the next recovery does not count the same damage again;
 * a bad magic, an implausible length, or a short read in a non-final
   segment breaks the framing itself: the rest of that segment is
   unwalkable, so the segment is quarantined (renamed to
   ``*.corrupt``, counted in ``corrupt_segments``) and replay continues
   with the next segment.
+
+Replay decodes each plan frame once and hands every record that
+references it the same :class:`~repro.plans.node.PlanNode`, so records
+that shared one live plan object replay sharing one node (what
+:meth:`~repro.serving.lifecycle.LifecycleManager.training_samples`
+dedupes on).  Across segments a node is shared only between plan frames
+with byte-identical payloads — same id *and* same content — so two
+different plan contents never resolve to one node.  Recovery also
+seeds the memo with the replayed plans and continues plan ids past the
+highest one on disk: a replayed plan observed again re-emits its
+original frame and keeps replaying as the same node.
 
 Sequence numbers are assigned by the :class:`OutcomeLog`, not here; the
 journal preserves them, and :meth:`prune` drops whole segments once
@@ -57,33 +99,42 @@ outside the in-memory log's retention window.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import re
 import struct
 import threading
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.plans.node import PlanNode
 
 from .resilience import JournalError
-from .service import OutcomeRecord
+from .service import OUTCOME_LOG_SIZE, OutcomeRecord
 
 __all__ = [
     "OutcomeJournal",
     "ReplayResult",
+    "decode_plan",
     "decode_record",
+    "decode_v1_record",
+    "encode_plan",
     "encode_record",
 ]
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: First 8 bytes of every segment; the trailing digit is the format
-#: version — bump it when the frame layout changes incompatibly.
-SEGMENT_MAGIC = b"QPPWAL1\n"
+#: First 8 bytes of every segment this journal writes; the trailing
+#: digit is the format version — bump it when the frame layout changes
+#: incompatibly.
+SEGMENT_MAGIC = b"QPPWAL2\n"
+#: Magic of the previous format (one self-contained frame per record);
+#: replayed, never appended to.
+SEGMENT_MAGIC_V1 = b"QPPWAL1\n"
 
 #: ``<u32 payload length><u32 crc32>`` little-endian frame header.
 _FRAME = struct.Struct("<II")
@@ -92,26 +143,88 @@ _FRAME = struct.Struct("<II")
 #: broken framing (a bit-flipped header), not a giant record.
 MAX_RECORD_BYTES = 16 << 20
 
+#: Frame-kind bytes that open every ``QPPWAL2`` payload.
+PLAN_FRAME = b"P"
+OUTCOME_FRAME = b"O"
+
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.wal$")
 
+#: Immutable property value types: a shallow copy snapshots them.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
 
-def encode_record(record: OutcomeRecord) -> bytes:
-    """One record as its compact-JSON journal payload (no framing)."""
-    payload = {
-        "seq": record.seq,
-        "signature": record.signature,
-        "predicted_ms": record.predicted_ms,
-        "observed_ms": record.observed_ms,
-        "model": record.model,
-        "timestamp": record.timestamp,
-        "plan": record.plan.to_dict(),
-    }
-    return json.dumps(payload, separators=(",", ":")).encode("utf-8")
+#: What decoding a CRC-valid but malformed payload can raise.
+_DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
 
 
-def decode_record(data: bytes) -> OutcomeRecord:
-    """Inverse of :func:`encode_record` (raises on malformed payloads;
-    :meth:`OutcomeJournal.recover` catches and counts those)."""
+def _dumps(kind: bytes, body) -> bytes:
+    return kind + json.dumps(body, separators=(",", ":")).encode("utf-8")
+
+
+def _loads(kind: bytes, data: bytes):
+    if data[:1] != kind:
+        raise ValueError(f"expected a {kind!r} frame, got {data[:1]!r}")
+    return json.loads(data[1:].decode("utf-8"))
+
+
+def _frame(payload: bytes) -> bytes:
+    """Length+CRC framing; a payload replay would reject is refused."""
+    if len(payload) > MAX_RECORD_BYTES:
+        raise ValueError(f"{len(payload)}-byte payload exceeds MAX_RECORD_BYTES")
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def encode_plan(plan_id: int, signature: str, plan: PlanNode) -> bytes:
+    """One plan-frame payload (no framing)."""
+    return _dumps(
+        PLAN_FRAME, {"plan_id": plan_id, "signature": signature, "plan": plan.to_dict()}
+    )
+
+
+def decode_plan(data: bytes) -> tuple[int, str, PlanNode]:
+    """Inverse of :func:`encode_plan`: ``(plan_id, signature, plan)``."""
+    body = _loads(PLAN_FRAME, data)
+    return int(body["plan_id"]), str(body["signature"]), PlanNode.from_dict(body["plan"])
+
+
+def encode_record(record: OutcomeRecord, plan_id: int) -> bytes:
+    """One record's outcome-frame payload (no framing); ``plan_id``
+    names the plan frame that carries ``record.plan``."""
+    return _dumps(
+        OUTCOME_FRAME,
+        {
+            "seq": record.seq,
+            "plan_id": plan_id,
+            "predicted_ms": record.predicted_ms,
+            "observed_ms": record.observed_ms,
+            "model": record.model,
+            "timestamp": record.timestamp,
+        },
+    )
+
+
+def decode_record(
+    data: bytes, plans: Mapping[int, tuple[str, PlanNode]]
+) -> OutcomeRecord:
+    """Inverse of :func:`encode_record`, resolving the plan reference in
+    ``plans`` (plan id -> ``(signature, plan)``).  Raises on malformed
+    payloads and ``KeyError`` on an unresolved reference;
+    :meth:`OutcomeJournal.recover` catches and counts both."""
+    body = _loads(OUTCOME_FRAME, data)
+    signature, plan = plans[int(body["plan_id"])]
+    return OutcomeRecord(
+        seq=int(body["seq"]),
+        signature=signature,
+        predicted_ms=float(body["predicted_ms"]),
+        observed_ms=float(body["observed_ms"]),
+        model=str(body["model"]),
+        timestamp=float(body["timestamp"]),
+        plan=plan,
+    )
+
+
+def decode_v1_record(data: bytes) -> OutcomeRecord:
+    """Decode one ``QPPWAL1`` payload: a compact-JSON record with the
+    full plan inline (raises on malformed payloads)."""
     payload = json.loads(data.decode("utf-8"))
     return OutcomeRecord(
         seq=int(payload["seq"]),
@@ -122,6 +235,55 @@ def decode_record(data: bytes) -> OutcomeRecord:
         timestamp=float(payload["timestamp"]),
         plan=PlanNode.from_dict(payload["plan"]),
     )
+
+
+def _shape(node: PlanNode) -> tuple:
+    """One node's operator, arity, actuals, property keys in order, and
+    the types of the property values (``1``, ``1.0`` and ``True`` encode
+    differently)."""
+    props = node.props
+    rows, total = node.actual_rows, node.actual_total_ms
+    return (
+        node.op, len(node.children), rows.__class__, rows, total.__class__, total,
+        tuple(props), tuple(map(type, props.values())),
+    )
+
+
+def _fingerprint(plan: PlanNode) -> list:
+    """Everything a plan frame's bytes depend on: per node in preorder,
+    its :func:`_shape` and a copy of its properties — deep when a value
+    is a container, so an in-place edit of a list property shows too."""
+    parts = []
+    for node in plan.preorder():
+        shape = _shape(node)
+        props = node.props
+        scalar = _SCALARS.issuperset(shape[-1])
+        parts.append((shape, dict(props) if scalar else copy.deepcopy(props)))
+    return parts
+
+
+def _unchanged(plan: PlanNode, fingerprint: list) -> bool:
+    """Whether ``plan`` still matches a :func:`_fingerprint` taken
+    earlier — a compare, cheaper than taking a new one."""
+    nodes = iter(fingerprint)
+    for node in plan.preorder():
+        snap = next(nodes, None)
+        if snap is None or snap[0] != _shape(node) or snap[1] != node.props:
+            return False
+    return next(nodes, None) is None
+
+
+class _PlanEntry:
+    """One memoized plan: its id, signature and framed plan frame."""
+
+    __slots__ = ("plan", "signature", "fingerprint", "plan_id", "frame")
+
+    def __init__(self, plan, signature, fingerprint, plan_id, frame) -> None:
+        self.plan = plan  # strong: keeps id(plan) from being reused
+        self.signature = signature
+        self.fingerprint = fingerprint
+        self.plan_id = plan_id
+        self.frame = frame
 
 
 @dataclass(frozen=True)
@@ -136,7 +298,8 @@ class ReplayResult:
     records: tuple[OutcomeRecord, ...]
     #: Segment files scanned (including quarantined ones).
     segments_scanned: int
-    #: Frames whose CRC (or payload decode) failed with intact framing.
+    #: Frames whose CRC (or payload decode) failed with intact framing,
+    #: plus outcome frames whose plan reference did not resolve.
     corrupt_records: int
     #: Segments quarantined whole (bad magic / broken framing).
     corrupt_segments: int
@@ -198,6 +361,15 @@ class OutcomeJournal:
         self._path: Optional[Path] = None
         self._size = 0
         self._unsynced = 0
+        #: Plan ids whose plan frame the open segment already holds.
+        self._segment_plans: set[int] = set()
+        #: ``id(plan)`` -> :class:`_PlanEntry`, least recently used first.
+        self._plans: "OrderedDict[int, _PlanEntry]" = OrderedDict()
+        self._next_plan_id = 0
+        #: Bound on the plan memo; the owning ``OutcomeLog`` sets it to
+        #: its ``maxlen`` so every plan its window references stays
+        #: memoized (and replays as one shared node).
+        self.plan_memo_size = OUTCOME_LOG_SIZE
         #: Records successfully framed and written (this process).
         self.appended = 0
         #: OSErrors swallowed on the write path (write or fsync); each
@@ -212,31 +384,37 @@ class OutcomeJournal:
     def append(self, record: OutcomeRecord) -> bool:
         """Frame, checksum and write one record; ``True`` on success.
 
-        Never raises on I/O failure: a failed write/rotate closes the
-        handle (reopened on the next append), bumps ``io_errors`` and
-        returns ``False`` — the in-memory log still holds the record,
-        only its durability is lost.  A record that fails to encode
-        (too deeply nested to serialize, or an unserializable property)
-        bumps ``encode_errors`` instead and likewise returns ``False``,
+        Writes the record's plan frame first when the open segment does
+        not hold it yet.  Never raises on I/O failure: a failed
+        write/rotate closes the handle (the next append opens a new
+        segment), bumps ``io_errors`` and returns ``False`` — the
+        in-memory log still holds the record, only its durability is
+        lost.  A record that fails to encode (too deeply nested to
+        serialize, or an unserializable property) bumps
+        ``encode_errors`` instead and likewise returns ``False``,
         leaving the journal untouched.
         """
-        try:
-            payload = encode_record(record)
-        except (RecursionError, TypeError, ValueError):
-            with self._lock:
-                self.encode_errors += 1
-            return False
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
         with self._lock:
             try:
+                entry = self._plan_entry(record)
+                frame = _frame(encode_record(record, entry.plan_id))
+            except (RecursionError, TypeError, ValueError):
+                self.encode_errors += 1
+                return False
+            try:
+                fresh = entry.plan_id not in self._segment_plans
+                size = len(frame) + (len(entry.frame) if fresh else 0)
                 if self._handle is None or (
-                    self._size + len(frame) > self.segment_max_bytes
+                    self._size + size > self.segment_max_bytes
                     and self._size > len(SEGMENT_MAGIC)
                 ):
                     self._rotate_locked(record.seq)
-                self._handle.write(frame)
+                    fresh = True
+                data = entry.frame + frame if fresh else frame
+                self._handle.write(data)
                 self._handle.flush()
-                self._size += len(frame)
+                self._segment_plans.add(entry.plan_id)
+                self._size += len(data)
                 self._unsynced += 1
                 if self._unsynced >= self.fsync_every:
                     self._fsync(self._handle.fileno())
@@ -247,6 +425,32 @@ class OutcomeJournal:
                 return False
             self.appended += 1
             return True
+
+    def _plan_entry(self, record: OutcomeRecord) -> _PlanEntry:
+        """The memo entry for ``record.plan``; a new id and plan frame
+        when the plan is unknown or changed since it was memoized."""
+        plan = record.plan
+        entry = self._plans.get(id(plan))
+        if (
+            entry is not None
+            and entry.signature == record.signature
+            and _unchanged(plan, entry.fingerprint)
+        ):
+            self._plans.move_to_end(id(plan))
+            return entry
+        plan_id = self._next_plan_id
+        frame = _frame(encode_plan(plan_id, record.signature, plan))
+        self._next_plan_id += 1
+        entry = _PlanEntry(plan, record.signature, _fingerprint(plan), plan_id, frame)
+        self._remember(entry)
+        return entry
+
+    def _remember(self, entry: _PlanEntry) -> None:
+        key = id(entry.plan)
+        self._plans.pop(key, None)
+        self._plans[key] = entry
+        while len(self._plans) > self.plan_memo_size:
+            self._plans.popitem(last=False)
 
     def sync(self) -> bool:
         """Force the batched fsync now; ``True`` when durable."""
@@ -264,7 +468,8 @@ class OutcomeJournal:
             return True
 
     def close(self) -> None:
-        """Flush, fsync and release the write handle (reopens on append)."""
+        """Flush, fsync and release the write handle (the next append
+        opens a new segment)."""
         self.sync()
         with self._lock:
             self._close_locked()
@@ -274,6 +479,7 @@ class OutcomeJournal:
         self._path = None
         self._size = 0
         self._unsynced = 0
+        self._segment_plans.clear()
         if handle is not None:
             try:
                 handle.close()
@@ -285,8 +491,8 @@ class OutcomeJournal:
         self._close_locked()
         path = self.directory / f"segment-{first_seq:08d}.wal"
         while path.exists():
-            # A quarantine or replayed-total mismatch left a file with
-            # this name; never overwrite journal bytes.
+            # A quarantine, an earlier run or replayed-total mismatch
+            # left a file with this name; never overwrite journal bytes.
             first_seq += 1
             path = self.directory / f"segment-{first_seq:08d}.wal"
         handle = open(path, "ab")
@@ -306,13 +512,15 @@ class OutcomeJournal:
         return sorted(found, key=lambda p: p.name)
 
     def recover(self) -> ReplayResult:
-        """Replay every segment; repair the tail; never raise.
+        """Replay every segment; repair the damage; never raise.
 
-        After ``recover`` the journal appends cleanly: the final
-        segment's torn tail (if any) has been truncated away and
-        unwalkable segments renamed to ``*.corrupt`` so they are never
-        rescanned (and their names can never collide with new
-        segments).  Call once, before the first :meth:`append`.
+        After ``recover`` the final segment's torn tail (if any) has
+        been truncated away, segments with corrupt frames rewritten to
+        their good frames, and unwalkable segments renamed to
+        ``*.corrupt`` so they are never rescanned (and their names can
+        never collide with new segments): a second ``recover`` finds no
+        damage.  The next :meth:`append` opens a new segment.  Call
+        once, before the first :meth:`append`.
         """
         with self._lock:
             self._close_locked()
@@ -320,40 +528,33 @@ class OutcomeJournal:
             corrupt_records = 0
             corrupt_segments = 0
             torn_tail_bytes = 0
+            #: Plan-frame payload -> ``(plan_id, signature, plan)``.
+            decoded: dict[bytes, tuple[int, str, PlanNode]] = {}
             segments = self.segments()
             for index, path in enumerate(segments):
                 final = index == len(segments) - 1
                 try:
-                    segment_records, bad, keep = self._replay_segment(path, final)
+                    data = path.read_bytes()
                 except OSError:
+                    data = b""
+                replay = _replay_segment(data, final, decoded)
+                if replay is None:
                     self._quarantine(path)
                     corrupt_segments += 1
                     continue
-                if keep is None:
-                    self._quarantine(path)
-                    corrupt_segments += 1
-                    continue
+                segment_records, bad, keep, good = replay
                 records.extend(segment_records)
                 corrupt_records += bad
-                if final:
-                    try:
-                        size = path.stat().st_size
-                        if keep < size:
-                            torn_tail_bytes = size - keep
-                            os.truncate(path, keep)
-                    except OSError:
-                        pass
-            # Append to the last surviving segment instead of rotating.
-            live = self.segments()
-            if live:
+                if final and keep < len(data):
+                    torn_tail_bytes = len(data) - keep
                 try:
-                    handle = open(live[-1], "ab")
-                    self._handle = handle
-                    self._path = live[-1]
-                    self._size = live[-1].stat().st_size
+                    if bad:
+                        self._salvage(path, data, good)
+                    elif keep < len(data):
+                        os.truncate(path, keep)
                 except OSError:
-                    self.io_errors += 1
-                    self._close_locked()
+                    pass
+            self._seed_memo(records, decoded)
             return ReplayResult(
                 records=tuple(records),
                 segments_scanned=len(segments),
@@ -362,57 +563,58 @@ class OutcomeJournal:
                 torn_tail_bytes=torn_tail_bytes,
             )
 
-    def _replay_segment(
-        self, path: Path, final: bool
-    ) -> tuple[list[OutcomeRecord], int, Optional[int]]:
-        """Walk one segment's frames.
+    def _seed_memo(
+        self,
+        records: list[OutcomeRecord],
+        decoded: dict[bytes, tuple[int, str, PlanNode]],
+    ) -> None:
+        """Memoize the replayed plans in reference order and continue
+        plan ids past every id on disk."""
+        origin = {
+            id(plan): (plan_id, signature, payload)
+            for payload, (plan_id, signature, plan) in decoded.items()
+        }
+        self._next_plan_id = max(
+            [self._next_plan_id] + [plan_id + 1 for plan_id, _, _ in origin.values()]
+        )
+        entries: dict[int, _PlanEntry] = {}
+        for rec in records:
+            key = id(rec.plan)
+            if key in origin:  # first reference (v1 plans have none)
+                plan_id, signature, payload = origin.pop(key)
+                try:
+                    fingerprint = _fingerprint(rec.plan)
+                except RecursionError:
+                    continue
+                entries[key] = _PlanEntry(
+                    rec.plan, signature, fingerprint, plan_id, _frame(payload)
+                )
+            if key in entries:
+                self._remember(entries[key])
 
-        Returns ``(records, corrupt_records, keep_bytes)`` where
-        ``keep_bytes`` is the prefix length that framed cleanly —
-        ``None`` means the framing itself is broken mid-segment (or the
-        magic is wrong) and the caller must quarantine the file.  In
-        the *final* segment a short read is a torn tail, reported via
-        ``keep_bytes < file size``; in earlier segments it is breakage.
-        """
-        records: list[OutcomeRecord] = []
-        corrupt = 0
-        with open(path, "rb") as handle:
-            magic = handle.read(len(SEGMENT_MAGIC))
-            if magic != SEGMENT_MAGIC:
-                return [], 0, None
-            good = handle.tell()
-            while True:
-                header = handle.read(_FRAME.size)
-                if not header:
-                    return records, corrupt, good  # clean end
-                if len(header) < _FRAME.size:
-                    # Torn header: truncate (final) or broken (earlier).
-                    return (records, corrupt, good) if final else ([], 0, None)
-                length, crc = _FRAME.unpack(header)
-                if length > MAX_RECORD_BYTES:
-                    # Implausible length = a damaged header; the frame
-                    # chain cannot be walked past it.
-                    return (records, corrupt, good) if final else ([], 0, None)
-                payload = handle.read(length)
-                if len(payload) < length:
-                    return (records, corrupt, good) if final else ([], 0, None)
-                if zlib.crc32(payload) != crc:
-                    corrupt += 1  # framing intact: skip just this record
-                else:
-                    try:
-                        records.append(decode_record(payload))
-                    except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                        corrupt += 1
-                good = handle.tell()
+    def _salvage(self, path: Path, damaged: bytes, good: list[bytes]) -> None:
+        """Replace a segment by its magic and ``good`` frames, keeping
+        the damaged bytes beside it as ``*.corrupt``."""
+        with open(self._quarantine_target(path), "wb") as handle:
+            handle.write(damaged)
+        scratch = path.with_suffix(".salvage")
+        with open(scratch, "wb") as handle:
+            handle.write(damaged[: len(SEGMENT_MAGIC)] + b"".join(good))
+            handle.flush()
+            self._fsync(handle.fileno())
+        os.replace(scratch, path)
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine_target(self, path: Path) -> Path:
         target = path.with_suffix(".corrupt")
         n = 0
         while target.exists():
             n += 1
             target = path.with_suffix(f".corrupt{n}")
+        return target
+
+    def _quarantine(self, path: Path) -> None:
         try:
-            os.replace(path, target)
+            os.replace(path, self._quarantine_target(path))
         except OSError:
             pass
 
@@ -454,3 +656,58 @@ class OutcomeJournal:
             f"OutcomeJournal({str(self.directory)!r}, appended={self.appended}, "
             f"io_errors={self.io_errors}, encode_errors={self.encode_errors})"
         )
+
+
+def _replay_segment(
+    data: bytes, final: bool, decoded: dict[bytes, tuple[int, str, PlanNode]]
+) -> Optional[tuple[list[OutcomeRecord], int, int, list[bytes]]]:
+    """Walk one segment's frames.
+
+    Returns ``(records, corrupt_records, keep_bytes, good_frames)``
+    where ``keep_bytes`` is the prefix length that framed cleanly and
+    ``good_frames`` the raw frames that decoded — or ``None`` when the
+    framing itself is broken mid-segment (or the magic is wrong) and the
+    caller must quarantine the file.  In the *final* segment a short
+    read is a torn tail, reported via ``keep_bytes < len(data)``; in
+    earlier segments it is breakage.  ``decoded`` caches plan frames by
+    payload across segments, so byte-identical frames share one node.
+    """
+    magic = data[: len(SEGMENT_MAGIC)]
+    if magic not in (SEGMENT_MAGIC, SEGMENT_MAGIC_V1):
+        return None
+    v1 = magic == SEGMENT_MAGIC_V1
+    plans: dict[int, tuple[str, PlanNode]] = {}
+    records: list[OutcomeRecord] = []
+    good: list[bytes] = []
+    corrupt = 0
+    pos = len(magic)
+    while pos < len(data):
+        if len(data) - pos < _FRAME.size:
+            break  # torn header
+        length, crc = _FRAME.unpack_from(data, pos)
+        end = pos + _FRAME.size + length
+        if length > MAX_RECORD_BYTES or end > len(data):
+            # An implausible length is a damaged header, a short payload
+            # a torn write: the frame chain cannot be walked past it.
+            break
+        payload = data[pos + _FRAME.size : end]
+        if zlib.crc32(payload) != crc:
+            corrupt += 1  # framing intact: skip just this frame
+        else:
+            try:
+                if v1:
+                    records.append(decode_v1_record(payload))
+                elif payload[:1] == PLAN_FRAME:
+                    plan = decoded.get(payload)
+                    if plan is None:
+                        plan = decoded[payload] = decode_plan(payload)
+                    plans[plan[0]] = plan[1:]
+                else:
+                    records.append(decode_record(payload, plans))
+                good.append(data[pos:end])
+            except _DECODE_ERRORS:
+                corrupt += 1
+        pos = end
+    if pos < len(data) and not final:
+        return None
+    return records, corrupt, pos, good

@@ -668,7 +668,9 @@ class LifecycleManager:
         recent ``max_retrain_outcomes``.  Derived purely from the
         journal, so re-deriving after a crash — with no new outcomes in
         between — yields the identical sequence, which is what makes
-        checkpoint resume bitwise.
+        checkpoint resume bitwise: the journal replays records that
+        shared one plan object sharing one node, so the identity dedupe
+        holds across a restart.
         """
         records = self.service.outcomes.snapshot()
         by_plan: "OrderedDict[int, OutcomeRecord]" = OrderedDict()

@@ -24,8 +24,9 @@ and model promotions via atomic manifest replacement.
 
 **After a crash** (:meth:`ServiceRecovery.recover`) the same directory
 rebuilds the stack: the manifest names the bundles to load, the journal
-replays (torn tails truncated, corrupt segments quarantined — counters,
-never exceptions), the in-memory outcome log restores its retained
+replays (torn tails truncated, corrupt frames skipped, corrupt segments
+quarantined — counters, never exceptions; ``QPPWAL1`` segments from the
+previous format included), the in-memory outcome log restores its retained
 window, the drift snapshot restores the detectors, and one initial poll
 feeds exactly the journal suffix past the snapshot cursor — leaving the
 EWMA, Page–Hinkley statistic and unseen-signature window *identical* to

@@ -347,8 +347,13 @@ class OutcomeLog:
         if maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         self.maxlen = maxlen
-        #: Optional write-ahead journal (duck-typed: ``append(record)``).
+        #: Optional write-ahead journal (duck-typed: ``append(record)``
+        #: plus a settable ``plan_memo_size``).
         self.journal = journal
+        if journal is not None:
+            # Every plan the retained window references stays memoized
+            # in the journal, so its records replay sharing one node.
+            journal.plan_memo_size = maxlen
         self._lock = threading.Lock()
         self._records: deque[OutcomeRecord] = deque(maxlen=maxlen)
         self._total = 0

